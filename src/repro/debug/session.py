@@ -347,7 +347,7 @@ class DebugSession:
         for arch, name in self._world_shape():
             machine = Machine(get_isa(arch), name=name,
                               quantum=self.header.get("quantum", 64),
-                              block_engine=False, chain_engine=False)
+                              block_engine=False)
             install_program(machine, self.program)
             machines.append(machine)
         return machines

@@ -62,19 +62,23 @@ class ReplayResult:
                 f"digests={self.recorder.digest_count}>")
 
 
-#: Execution engines a journal may name. All three produce the same
-#: digest stream for the same scenario — that cross-engine parity is
-#: what lets a journal recorded under one tier be validated under
-#: another.
-ENGINES = ("interp", "blocks", "chains")
+#: Execution engines a journal may be recorded or replayed on. Both
+#: produce the same digest stream for the same scenario — that
+#: cross-engine parity is what lets a journal recorded under one tier
+#: be validated under another.
+ENGINES = ("interp", "blocks")
+
+#: Engines only older journals name. Digests are tier-independent, so
+#: such a journal replays on the engine it maps to.
+LEGACY_ENGINES = {"chains": "blocks"}
 
 
 def _machine(header: Dict, arch: str, name: str = "node") -> Machine:
     engine = header.get("engine", "blocks")
+    engine = LEGACY_ENGINES.get(engine, engine)
     return Machine(get_isa(arch), name=name,
                    quantum=header.get("quantum", 64),
-                   block_engine=engine != "interp",
-                   chain_engine=engine == "chains")
+                   block_engine=engine != "interp")
 
 
 def _execute_run(header: Dict, recorder: FlightRecorder) -> Optional[int]:
@@ -424,7 +428,7 @@ class Replayer:
     """Re-executes a journal's scenario, with optional overrides.
 
     ``engine`` switches the execution engine (``"interp"`` /
-    ``"blocks"`` / ``"chains"``); a correct engine produces a
+    ``"blocks"``); a correct engine produces a
     bit-identical digest stream, which is exactly what the CI
     replay-smoke job asserts.
     ``fault`` injects a deterministic bit flip; by default the fault

@@ -54,18 +54,22 @@ _WAL = "wal"
 class SimDisk:
     """In-memory simulated disk with crash-tearing semantics.
 
-    ``_durable`` holds what survives a crash; ``_pending`` holds the
-    would-be contents of files written (or appended to) but not yet
-    fsynced. :meth:`crash` resolves every pending file to its durable
-    prefix plus a seeded-random cut of the new bytes — a *torn write*.
-    Renames are atomic and preserve the source's durability (the
-    backend's discipline always fsyncs before renaming), and unlinks
-    are modeled as immediately durable.
+    ``_durable`` holds what survives a crash. A file changed since its
+    last fsync is *pending* in one of two shapes: ``_pending`` holds
+    the would-be contents of a file written (or renamed) since then,
+    and ``_tails`` holds the bytes appended to an otherwise durable
+    file, so an append costs O(len(data)) rather than a copy of the
+    whole file. :meth:`crash` resolves every pending file to its
+    durable prefix plus a seeded-random cut of the new bytes — a *torn
+    write*. Renames are atomic and preserve the source's durability
+    (the backend's discipline always fsyncs before renaming), and
+    unlinks are modeled as immediately durable.
     """
 
     def __init__(self, seed: int = 0):
-        self._durable: Dict[str, bytes] = {}
-        self._pending: Dict[str, bytes] = {}
+        self._durable: Dict[str, bytearray] = {}
+        self._pending: Dict[str, bytearray] = {}
+        self._tails: Dict[str, bytearray] = {}   # only on durable names
         self._rng = random.Random(seed)
         self.crashes = 0
 
@@ -73,38 +77,53 @@ class SimDisk:
 
     def _view(self, name: str) -> Optional[bytes]:
         if name in self._pending:
-            return self._pending[name]
-        return self._durable.get(name)
+            return bytes(self._pending[name])
+        data = self._durable.get(name)
+        if data is None:
+            return None
+        tail = self._tails.get(name)
+        return bytes(data if tail is None else data + tail)
 
     def write(self, name: str, data: bytes) -> None:
-        self._pending[name] = bytes(data)
+        self._pending[name] = bytearray(data)
+        self._tails.pop(name, None)
 
     def append(self, name: str, data: bytes) -> None:
-        current = self._view(name)
-        if current is None:
+        if name in self._pending:
+            self._pending[name] += data
+        elif name in self._durable:
+            self._tails.setdefault(name, bytearray()).extend(data)
+        else:
             raise StoreError(f"append to missing file {name!r}")
-        self._pending[name] = current + bytes(data)
 
     def fsync(self, name: str) -> None:
         if name in self._pending:
             self._durable[name] = self._pending.pop(name)
+        elif name in self._tails:
+            self._durable[name] += self._tails.pop(name)
 
     def rename(self, src: str, dst: str) -> None:
-        if src in self._pending:
-            self._pending[dst] = self._pending.pop(src)
+        if src in self._pending or src in self._tails:
+            moved = self._pending.pop(src, None)
+            if moved is None:              # src's durable copy stays put
+                moved = self._durable[src] + self._tails.pop(src)
+            self._pending[dst] = moved
+            self._tails.pop(dst, None)
             self._durable.pop(dst, None)
         elif src in self._durable:
             self._durable[dst] = self._durable.pop(src)
             self._pending.pop(dst, None)
+            self._tails.pop(dst, None)
         else:
             raise StoreError(f"rename of missing file {src!r}")
 
     def unlink(self, name: str) -> None:
         self._pending.pop(name, None)
+        self._tails.pop(name, None)
         self._durable.pop(name, None)
 
     def exists(self, name: str) -> bool:
-        return self._view(name) is not None
+        return name in self._pending or name in self._durable
 
     def read(self, name: str) -> bytes:
         data = self._view(name)
@@ -125,21 +144,27 @@ class SimDisk:
         given seed and pending set, so crash/recover runs replay
         bit-identically."""
         damaged = []
-        for name in sorted(self._pending):
-            pending = self._pending[name]
+        for name in sorted(set(self._pending) | set(self._tails)):
             base = self._durable.get(name, b"")
-            # Our files only ever grow (whole-file writes are to fresh
-            # names; the WAL appends): the durable prefix survives and
-            # the new tail is cut at a random point.
-            new = pending[len(base):] if pending.startswith(base) else pending
+            if name in self._tails:
+                new, extends = self._tails[name], True
+            else:
+                pending = self._pending[name]
+                # Our files only ever grow (whole-file writes are to
+                # fresh names; the WAL appends): the durable prefix
+                # survives and the new tail is cut at a random point.
+                extends = pending.startswith(base)
+                new = pending[len(base):] if extends else pending
             keep = self._rng.randrange(len(new) + 1) if new else 0
-            torn = (base if pending.startswith(base) else b"") + new[:keep]
+            torn = bytearray(base if extends else b"")
+            torn += new[:keep]
             if torn:
                 self._durable[name] = torn
             else:
                 self._durable.pop(name, None)
             damaged.append(name)
         self._pending.clear()
+        self._tails.clear()
         self.crashes += 1
         return damaged
 
@@ -147,8 +172,9 @@ class SimDisk:
         """Snapshot for the sweep harness: durable state plus the tear
         RNG, so every branch of the sweep tears identically."""
         out = SimDisk.__new__(SimDisk)
-        out._durable = dict(self._durable)
-        out._pending = dict(self._pending)
+        out._durable = {k: bytearray(v) for k, v in self._durable.items()}
+        out._pending = {k: bytearray(v) for k, v in self._pending.items()}
+        out._tails = {k: bytearray(v) for k, v in self._tails.items()}
         out._rng = random.Random()
         out._rng.setstate(self._rng.getstate())
         out.crashes = self.crashes

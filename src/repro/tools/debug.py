@@ -26,6 +26,7 @@ from ..debug.server import run_stdio, run_tcp
 from ..debug.session import DebugSession
 from ..errors import JournalTruncated
 from ..replay import Journal
+from ..replay.engine import ENGINES
 from ._cli import guarded
 
 PROG = "repro-debug"
@@ -48,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--snapshot-every", type=int, default=32,
                         help="snapshot cadence in scheduling slices "
                              "(reverse-seek cost is O(this gap))")
-    parser.add_argument("--engine",
-                        choices=["blocks", "interp", "chains"],
+    parser.add_argument("--engine", choices=ENGINES,
                         help="execution engine for the capture pass")
     return parser
 

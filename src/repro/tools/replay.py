@@ -32,6 +32,7 @@ from ..errors import ReproError
 from ..replay import (BitFlip, Journal, Replayer, ReplaySession,
                       pinpoint_by_reexecution, pinpoint_divergence,
                       record_migrate, record_rerandomize, record_run)
+from ..replay.engine import ENGINES, LEGACY_ENGINES
 from ..replay.journal import KIND_NAMES
 from ._cli import guarded
 
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--dst-arch", default="aarch64",
                      help="destination ISA (migrate scenario)")
     rec.add_argument("--engine", default="blocks",
-                     choices=["blocks", "interp", "chains"])
+                     choices=ENGINES)
     rec.add_argument("--quantum", type=int, default=64)
     rec.add_argument("--digest-every", type=int, default=1,
                      help="emit a state digest every N scheduling slices")
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("replay",
                          help="re-execute a journal and verify bit-identity")
     rep.add_argument("journal")
-    rep.add_argument("--engine", choices=["blocks", "interp", "chains"],
+    rep.add_argument("--engine", choices=ENGINES,
                      help="override the execution engine")
     rep.add_argument("-o", "--output",
                      help="also write the replay's journal here")
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="pause once this many instructions have retired "
                            "(repeatable; one re-execution serves all "
                            "targets in ascending order)")
-    seek.add_argument("--engine", choices=["blocks", "interp", "chains"])
+    seek.add_argument("--engine", choices=ENGINES)
 
     show = sub.add_parser("show", help="summarize a journal")
     show.add_argument("journal")
@@ -165,6 +166,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     report = pinpoint_divergence(journal, result.journal,
                                  engine_b=args.engine)
     engine = args.engine or journal.header.get("engine", "blocks")
+    engine = LEGACY_ENGINES.get(engine, engine)
     if report is None:
         recorded = len(journal.digest_stream())
         replayed = len(result.journal.digest_stream())

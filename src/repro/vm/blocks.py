@@ -12,8 +12,12 @@ concatenation of every op with operand indices, immediates, and the u64
 memory fast path (a per-site last-page cache indexing straight into the
 page store) baked in. A ``bcc`` inside the trace becomes a *side exit*: taken, the
 generated function sets ``pc``, accounts the executed prefix, and
-returns; not taken, execution falls through with zero dispatch. Every
-generated function returns the number of instructions it executed.
+returns; not taken, execution falls through with zero dispatch. A
+forward ``bcc`` whose target lies further along the same trace (an
+``if`` without ``else``) is instead an in-trace skip: taken, the
+generated code jumps over the ops in between without leaving the
+trace. Every generated function returns the number of instructions it
+executed.
 Cold blocks execute on ``interp.step`` (tier 0), which keeps the
 semantics reference in exactly one place and keeps run-once startup
 code off the specializer.
@@ -33,17 +37,25 @@ Correctness invariants (each one is load-bearing):
   Because ``trap`` always terminates a trace, a thread parking at an
   equivalence point stops with ``pc`` exactly at the eqpoint — the
   Dapper runtime's stackmap verification is unchanged.
-* **Scheduling determinism.** A block never executes past the caller's
-  remaining quantum: each generated block also has a *partial* variant
-  that executes at most the first ``m`` ops, leaving ``pc`` mid-trace
-  (the next quantum compiles a block from there). Round-robin
+* **Scheduling determinism and mid-trace resume.** A block never
+  executes past the caller's remaining quantum: each compiled trace
+  also has a *metered* variant ``pfn(thread, regs, m, K)`` that starts
+  at op ``K`` and retires at most ``m`` ops, leaving ``pc`` mid-trace
+  when the budget runs out. Tier-up registers every interior pc of the
+  trace in ``Process.resume_entries`` as ``(block, K)``, so the next
+  quantum resumes *inside* the compiled trace — it never decodes and
+  compiles a duplicate trace starting one phase over. (A branch target
+  inside a trace that stays hot — a loop head the back-edge of another
+  trace keeps returning to — is split off instead, see
+  :func:`_split_at`, so it starts a trace of its own.) Round-robin
   interleaving is therefore instruction-for-instruction identical to
-  the per-step engine — the cross-ISA migration tests rely on that.
+  the per-step engine — the cross-ISA migration tests and the flight
+  recorder's per-slice digests rely on that.
 * **Invalidation.** The cache is keyed by pc and versioned by
   ``Process.code_version``; ``Process.invalidate_code`` (hooked to every
-  privileged ``write_code``) bumps the version and drops all blocks, so
-  stack-shuffle and live-update code rewrites can never execute stale
-  superblocks.
+  privileged ``write_code``) bumps the version and drops all blocks and
+  resume entries, so stack-shuffle and live-update code rewrites can
+  never execute stale superblocks.
 
 Generated closures capture ``aspace``/``aspace._pages`` — safe because
 ``Process.aspace`` is never rebound, and because the live kernel only
@@ -74,7 +86,7 @@ if TYPE_CHECKING:
 #: Upper bound on predecoded ops per trace. Long traces are split; the
 #: tail compiles as its own block on first execution. Kept at half the
 #: scheduler quantum (64) so a typical trace executes whole on the
-#: one-call specialized path rather than the partial variant.
+#: one-call specialized path rather than the metered variant.
 MAX_BLOCK_INSTRS = 32
 
 #: Full executions of a block before it is specialized by
@@ -84,6 +96,15 @@ MAX_BLOCK_INSTRS = 32
 #: through the generated tier; steady-state benchmarks lower it to
 #: shorten warmup.
 HOT_THRESHOLD = 4
+
+#: Branch arrivals (not quantum parks) at an interior pc of a compiled
+#: trace before the traces covering it are split there. A split costs
+#: about two ``compile()`` calls (1-2 ms each) and saves the metered
+#: variant's per-op guards on every later arrival (about 1 us for a
+#: 20-op suffix), so it only pays for targets that stay hot for
+#: thousands of arrivals — loop heads of long loops, not a short
+#: run's warm-up.
+SPLIT_THRESHOLD = 2048
 
 _U64M = 0xFFFFFFFFFFFFFFFF
 _TWO64 = 1 << 64
@@ -124,9 +145,7 @@ class Block:
 
     __slots__ = ("pc", "version", "pcs", "cost_prefix", "body_len",
                  "full", "instrs", "term_instr", "term_cost",
-                 "fn", "pfn", "heat", "chain", "chain_m", "chain_heat",
-                 "chain_epoch", "chain_key", "chain_web", "succ_pcs",
-                 "demoted")
+                 "fn", "pfn", "heat", "target_heat", "demoted")
 
     def __init__(self, pc: int, version: int, instrs: List[Instruction],
                  pcs: List[int], cost_prefix: List[int],
@@ -141,15 +160,9 @@ class Block:
         self.term_instr = term_instr
         self.term_cost = term_cost
         self.fn: Optional[Handler] = None  # specialized: whole trace
-        self.pfn = None                    # specialized: first <= m ops
+        self.pfn = None                    # specialized: <= m ops from op K
         self.heat = 0                      # tier-0 executions so far
-        self.chain = None                  # tier-3 chain (or NO_CHAIN)
-        self.chain_m = None                # (run, metered label) pair
-        self.chain_heat = 0                # tier-2 dispatches so far
-        self.chain_epoch = -1              # process.hot_epoch at build
-        self.chain_key = None              # memoized factory-cache key
-        self.chain_web = None              # pcs the chain was built over
-        self.succ_pcs = None               # memoized static successors
+        self.target_heat = None            # op K -> branch arrivals there
         self.demoted = False               # codegen refused: tier 0 only
 
     def __repr__(self) -> str:
@@ -181,36 +194,51 @@ def run_thread(machine: "Machine", process: "Process",
     step = interp.step
     regs = thread.regs
     version = process.code_version
-    chains_on = machine.chain_engine
-    no_chain = chains.NO_CHAIN
-    eget = process.chain_entries.get
+    rget = process.resume_entries.get
     cget = cache.get
     while count < quantum:
         pc = thread.pc
-        if chains_on:
-            # A pc inside a chained trace (a quantum boundary parked
-            # there last slice) resumes through the chain's metered
-            # arm — never by decoding a duplicate trace one phase
-            # over. Entries are cleared with the block cache, so a
-            # hit is always current.
-            ce = eget(pc)
-            if ce is not None:
-                run, lab, k = ce
-                count += run(thread, regs, quantum - count, lab, k)
-                continue
         block = cget(pc)
-        if block is None or block.version != version:
-            block = compile_block(process, pc)
-            cache[pc] = block
+        if block is None or block.fn is None or block.version != version:
+            # No compiled trace starts here. If ``pc`` lies inside one
+            # (a quantum boundary parked there, or a branch lands
+            # mid-trace), resume that trace at the op — never decode
+            # and compile a duplicate trace one phase over. Entries
+            # are cleared with the block cache, so a hit is current.
+            entry = rget(pc)
+            if entry is not None:
+                owner, k = entry
+                if count:
+                    # Reached by a branch mid-slice, not by a quantum
+                    # park: ``pc`` is a control-flow target (a loop
+                    # head, say) inside ``owner``. Once hot, it starts
+                    # a trace of its own rather than paying the
+                    # metered variant on every visit.
+                    heat = owner.target_heat
+                    if heat is None:
+                        heat = owner.target_heat = {}
+                    h = heat.get(k, 0)
+                    if h >= SPLIT_THRESHOLD:
+                        _split_at(process, pc)
+                        continue
+                    heat[k] = h + 1
+                pfn = owner.pfn
+                if pfn is None:
+                    pfn = owner.pfn = codegen(process, owner, metered=True)
+                count += pfn(thread, regs, quantum - count, k)
+                continue
+            if block is None or block.version != version:
+                block = compile_block(process, pc)
+                cache[pc] = block
         fn = block.fn
         if fn is None and not block.demoted:
             heat = block.heat
             if heat >= HOT_THRESHOLD:
-                fn = block.fn = codegen(process, block)
+                fn = codegen(process, block)
                 if fn is None:             # shape codegen can't express:
                     block.demoted = True   # stay on tier 0 for good
                 else:
-                    process.hot_epoch += 1
+                    _tier_up(process, block, fn)
             elif heat == 0:
                 # First dispatch: if this trace shape was already
                 # specialized anywhere (another process, an earlier
@@ -219,62 +247,24 @@ def run_thread(machine: "Machine", process: "Process",
                 block.heat = 1
                 fn = codegen(process, block, bind_only=True)
                 if fn is not None:
-                    block.fn = fn
-                    process.hot_epoch += 1
+                    _tier_up(process, block, fn)
             else:
                 block.heat = heat + 1
         remaining = quantum - count
         if fn is not None:
             if block.full <= remaining:
-                # Tier 3: a block that keeps coming back hot gets linked
-                # with its hot compiled successors into one chain
-                # function that transfers control internally (including
-                # loop back-edges) and only returns at a quantum
-                # boundary, an unlinked exit, or a fault. A chain (or a
-                # no-linkable-successor verdict) is stamped with the
-                # hot epoch it was formed at; tier-up of any block
-                # bumps the epoch, so webs frozen while their
-                # neighbours were still warming get relinked instead
-                # of permanently exiting at once-cold edges.
-                if chains_on:
-                    chain = block.chain
-                    if (chain is not None
-                            and block.chain_epoch == process.hot_epoch):
-                        if chain is not no_chain:
-                            count += chain(thread, regs, remaining)
-                            continue
-                    else:
-                        ch = block.chain_heat + 1
-                        block.chain_heat = ch
-                        if (chain is not None
-                                or ch >= chains.CHAIN_THRESHOLD):
-                            block.chain_epoch = process.hot_epoch
-                            chain = block.chain = chains.build_chain(
-                                process, block, cache)
-                            if chain is not no_chain:
-                                count += chain(thread, regs, remaining)
-                                continue
                 # One call runs the trace — side exits and accounting
                 # included — and returns how many instructions retired;
                 # faults arrive as CpuFault with pc and counters
                 # already positioned at the faulting op.
                 count += fn(thread, regs)
                 continue
-            # The quantum may end inside this trace. A chained block
-            # finishes the quantum through its metered arm (which
-            # parks pc mid-trace at exactly `remaining` retired);
-            # otherwise the tier-2 partial variant does the same.
-            if chains_on:
-                chain = block.chain
-                if (chain is not None and chain is not no_chain
-                        and block.chain_epoch == process.hot_epoch):
-                    run, lab = block.chain_m
-                    count += run(thread, regs, remaining, lab)
-                    continue
+            # The quantum may end inside this trace: the metered
+            # variant retires exactly ``remaining`` and parks pc there.
             pfn = block.pfn
             if pfn is None:
-                pfn = block.pfn = codegen(process, block, partial=True)
-            count += pfn(thread, regs, remaining)
+                pfn = block.pfn = codegen(process, block, metered=True)
+            count += pfn(thread, regs, remaining, 0)
             continue
         # Tier 0 is literally the per-step engine, per-instruction
         # status checks included — a side exit taken mid-trace may land
@@ -291,6 +281,46 @@ def run_thread(machine: "Machine", process: "Process",
                 return count
         version = process.code_version
     return count
+
+
+def _tier_up(process: "Process", block: Block, fn: Handler) -> None:
+    """Install ``fn`` as ``block``'s compiled trace and register every
+    interior op (the terminator included) as a resume point into it."""
+    block.fn = fn
+    entries = process.resume_entries
+    pcs = block.pcs
+    for k in range(1, block.full):
+        entries[pcs[k]] = (block, k)
+
+
+def _split_at(process: "Process", pc: int) -> None:
+    """End every compiled trace that runs through ``pc`` just before
+    it, so the hot branch target ``pc`` starts a trace of its own
+    instead of a resume point inside another. The shortened traces
+    replace the originals, in the shared decode cache too, so later
+    processes running the same code start from the split tiling."""
+    cache = process.block_cache
+    entries = process.resume_entries
+    ck = _content_key(process)
+    covering = [b for b in cache.values()
+                if b.fn is not None and pc in b.pcs[1:b.full]]
+    for old in covering:
+        k = old.pcs.index(pc, 1, old.full)
+        meta = (old.instrs[:k], old.pcs[:k + 1], old.cost_prefix[:k + 1],
+                None, 0)
+        for p in old.pcs[1:old.full]:
+            entry = entries.get(p)
+            if entry is not None and entry[0] is old:
+                del entries[p]
+        new = cache[old.pc] = Block(old.pc, old.version, *meta)
+        if (ck, old.pc) in _GLOBAL_TRACES:  # update, never insert
+            _GLOBAL_TRACES[(ck, old.pc)] = meta
+        fn = codegen(process, new)
+        if fn is None:
+            new.demoted = True
+        else:
+            _tier_up(process, new, fn)
+    entries.pop(pc, None)
 
 
 # -- block compilation ---------------------------------------------------------
@@ -428,9 +458,7 @@ def _decode_trace(process: "Process", pc: int) -> tuple:
             # traces tile the loop at stride MAX_BLOCK_INSTRS and spiral
             # through every offset of the body — no canonical tiling,
             # one near-duplicate trace per offset. Ending the trace here
-            # instead makes the loop tile exactly once from its head,
-            # which is what lets the chain layer treat the back-edge as
-            # a loop-closing jump.
+            # instead makes the loop tile exactly once from its head.
             term_instr = term
             term_cost = isa.cost(term)
             break
@@ -479,14 +507,6 @@ _COND_SYMS = {"eq": "==", "ne": "!=", "lt": "<",
               "le": "<=", "gt": ">", "ge": ">="}
 _MOVK_SHIFTS = {"movk1": 16, "movk2": 32, "movk3": 48}
 
-#: Generated source -> compiled code object. ``compile()`` dominates
-#: specialization cost (~1ms per block); identical trace shapes recur
-#: across processes running the same binary (every re-spawn, every
-#: benchmark iteration, every restore-after-rewrite), and the source
-#: string is a complete description of the specialization, so it is
-#: the cache key.
-_CODE_CACHE: dict = {}
-
 #: Trace shape -> the exec'd ``_make`` factory, so a recurring shape
 #: skips source generation *and* exec and only pays the per-process
 #: closure binding. Keyed by content (never object identity).
@@ -494,10 +514,43 @@ _FACTORY_CACHE: dict = {}
 
 _NO_FACTORY = object()                     # cached "shape unsupported"
 
+#: Deepest nesting of in-trace skips codegen emits; deeper forward
+#: branches stay side exits (keeps generated indentation bounded).
+MAX_SKIP_DEPTH = 12
 
-def _factory_key(isa_name: str, block: Block, partial: bool) -> tuple:
+
+def _skip_joins(block: Block) -> dict:
+    """Forward ``bcc`` op index -> op index of its target, for every
+    branch whose target lies further along the same trace and whose
+    skipped ops nest inside the skips already open (ifs without else,
+    possibly nested). From any pc the trace's remaining ops are the
+    static path from that pc, so jumping to op ``j`` is exact.
+    """
+    pcs = block.pcs
+    n = block.body_len
+    joins = {}
+    open_joins: List[int] = []
+    for k, instr in enumerate(block.instrs):
+        while open_joins and open_joins[-1] <= k:
+            open_joins.pop()
+        if instr.op != "bcc" or instr.target not in pcs:
+            continue
+        try:
+            j = pcs.index(instr.target, k + 1, n + 1)
+        except ValueError:
+            continue
+        if j > k + 1:
+            if ((open_joins and j > open_joins[-1])
+                    or len(open_joins) >= MAX_SKIP_DEPTH):
+                continue                   # would cross an open skip
+            open_joins.append(j)
+        joins[k] = j
+    return joins
+
+
+def _factory_key(isa_name: str, block: Block, metered: bool) -> tuple:
     term = block.term_instr
-    return (isa_name, partial, tuple(block.pcs),
+    return (isa_name, metered, tuple(block.pcs),
             tuple((i.op, i.rd, i.rn, i.rm, i.imm, i.cond, i.target)
                   for i in block.instrs),
             None if term is None else
@@ -505,22 +558,30 @@ def _factory_key(isa_name: str, block: Block, partial: bool) -> tuple:
             block.term_cost)
 
 
-def codegen(process: "Process", block: Block, partial: bool = False,
+def codegen(process: "Process", block: Block, metered: bool = False,
             bind_only: bool = False) -> Optional[Handler]:
     """Emit the specialized function for ``block``; None if some op has
     no template (the block then stays on tier 0 forever).
 
-    With ``partial=True`` the generated function takes an extra ``m``
-    and executes at most the first ``m`` ops — an inline ``if m == k:
-    account; return k`` is threaded between ops, which is what lets a
-    quantum boundary land mid-trace without falling off the generated
-    tier. The ``ret`` terminator is never part of a partial run.
+    With ``metered=True`` the generated function is ``run(thread, regs,
+    m, K)``: it starts at op ``K`` and retires at most ``m`` ops — an
+    inline budget stop is threaded before every op and each op is
+    guarded by ``K <= k`` — so a quantum boundary can land mid-trace
+    and the next slice can resume there without leaving the generated
+    tier. The terminator runs when it fits. Retired counts, cycles,
+    side exits and faults are all accounted relative to ``K``.
+
+    A forward ``bcc`` to a later op ``j`` of the same trace (see
+    :func:`_skip_joins`) wraps ops ``k+1 .. j-1`` in its ``else``;
+    taken, it adds the skipped ops and cycles to ``sn``/``sc``, which
+    every later accounting site subtracts (and, metered, advances the
+    budget index ``e`` past them).
 
     With ``bind_only=True``, only bind an already-cached factory (a
     cheap closure call); return None rather than generate anything new.
     """
     aspace = process.aspace
-    key = _factory_key(process.isa.name, block, partial)
+    key = _factory_key(process.isa.name, block, metered)
     factory = _FACTORY_CACHE.get(key)
     if factory is not None:
         if factory is _NO_FACTORY:
@@ -543,6 +604,9 @@ def codegen(process: "Process", block: Block, partial: bool = False,
     n = block.body_len
     body: List[str] = []
     hots: List[str] = []
+    joins = _skip_joins(block)
+    skips = any(j > k + 1 for k, j in joins.items())
+    open_joins: List[int] = []             # join op of each open skip
 
     def site() -> tuple:
         # Each memory site caches the last page it touched as a
@@ -591,11 +655,21 @@ def codegen(process: "Process", block: Block, partial: bool = False,
             f"        {s} = q",
         ])
 
+    def done(instrs: int) -> str:
+        # Ops retired by a run that ends after op index ``instrs``.
+        return (f"{instrs}" + (" - K" if metered else "")
+                + (" - sn" if skips else ""))
+
+    def cycles_at(cycles_done: int) -> str:
+        return (f"{cycles_done}" + (" - c0" if metered else "")
+                + (" - sc" if skips else ""))
+
     def account(indent: str, instrs_done: int, cycles_done: int) -> None:
+        cycles = cycles_at(cycles_done)
         body.extend([
-            f"{indent}thread.instr_count += {instrs_done}",
-            f"{indent}process.instr_total += {instrs_done}",
-            f"{indent}process.cycle_total += {cycles_done}",
+            f"{indent}thread.instr_count += {done(instrs_done)}",
+            f"{indent}process.instr_total += {done(instrs_done)}",
+            f"{indent}process.cycle_total += {cycles}",
         ])
 
     def wrap_assign(dest: str, expr: str) -> None:
@@ -615,19 +689,47 @@ def codegen(process: "Process", block: Block, partial: bool = False,
         _FACTORY_CACHE[key] = _NO_FACTORY
         return None
 
+    def budget_stop(k: int) -> None:
+        # The quantum boundary may land here: account the executed
+        # prefix and stop with pc at op k (never past the budget).
+        body.append(f"if e == {k}:")
+        account("    ", k, cp[k])
+        body.append(f"    thread.pc = {pcs[k]}")
+        body.append(f"    return {done(k)}")
+
+    def close_skips(k: int) -> None:
+        # Ops from ``k`` on run on both paths of every skip joining here.
+        while open_joins and open_joins[-1] <= k:
+            open_joins.pop()
+            if body[-1] == "    " * len(open_joins) + "else:":
+                body.append("    " * (len(open_joins) + 1) + "pass")
+
     for k, instr in enumerate(block.instrs):
-        if partial and k:
-            # The quantum boundary may land here: account the executed
-            # prefix and stop with pc at the next op (never past m).
-            body.append(f"if m == {k}:")
-            account("    ", k, cp[k])
-            body.append(f"    thread.pc = {pcs[k]}")
-            body.append(f"    return {k}")
+        close_skips(k)
+        start = len(body)
+        if metered and k:
+            budget_stop(k)
+        op_start = len(body)
         op = instr.op
         rd, rn, rm = instr.rd, instr.rn, instr.rm
         imm = instr.imm if instr.imm is not None else 0
-        if op in ("nop", "b"):             # extension b: pc baked in pcs
-            continue
+        join = joins.get(k)
+        if op in ("nop", "b") or join == k + 1:
+            # extension b: pc baked in pcs; a bcc to its own
+            # fall-through retires the same either way.
+            pass
+        elif join is not None:
+            # In-trace skip: taken jumps to op ``join``; the ops in
+            # between run in the ``else``. Unguarded by ``K``: a resume
+            # past op k still has to enter the ``else``.
+            sym = _COND_SYMS[instr.cond]
+            guard = f"K <= {k} and " if metered else ""
+            body.append(f"if {guard}thread.flags {sym} 0:")
+            body.append(f"    sn += {join - k - 1}")
+            body.append(f"    sc += {cp[join] - cp[k + 1]}")
+            if metered:
+                body.append(f"    e += {join - k - 1}")
+            body.append("else:")
         elif op == "bcc":
             # Side exit: taken, the trace ends here — account the exact
             # prefix (this bcc included) and return its pc and count.
@@ -635,7 +737,7 @@ def codegen(process: "Process", block: Block, partial: bool = False,
             body.append(f"if thread.flags {sym} 0:")
             body.append(f"    thread.pc = {instr.target}")
             account("    ", k + 1, cp[k + 1])
-            body.append(f"    return {k + 1}")
+            body.append(f"    return {done(k + 1)}")
         elif op == "mov":
             body.append(f"regs[{rd}] = regs[{rn}]")
         elif op in ("movi", "movi_full"):
@@ -698,7 +800,7 @@ def codegen(process: "Process", block: Block, partial: bool = False,
             body.append(f"x = regs[{rn}]")
             body.append(f"y = regs[{rm}]")
             body.append("if y == 0:")
-            if k:
+            if k or metered:
                 account("    ", k, cp[k])
             body.append(f"    thread.pc = {pcs[k]}")
             body.append(f"    raise CpuFault(thread, {msg!r})")
@@ -714,13 +816,26 @@ def codegen(process: "Process", block: Block, partial: bool = False,
             emit_call(k, instr)
         else:
             return fail()
+        opens = join is not None and join > k + 1
+        if metered and not opens and len(body) > op_start:
+            # A resume at op K skips every op before it.
+            body[op_start:] = [f"if K <= {k}:"] + [
+                "    " + line for line in body[op_start:]]
+        if open_joins:
+            body[start:] = ["    " * len(open_joins) + line
+                            for line in body[start:]]
+        if opens:
+            open_joins.append(join)
+    close_skips(n)
 
     total = n
     cycles = cp[n]
     term = block.term_instr
     tail_pc: Optional[int] = pcs[n]
-    if not partial and term is not None:   # ret or backward b/bcc
+    if term is not None:                   # ret or backward b/bcc
         tail_pc = None
+        if metered and n:
+            budget_stop(n)
         if term.op == "b":
             body.append(f"thread.pc = {term.target}")
         elif term.op == "bcc":
@@ -744,39 +859,48 @@ def codegen(process: "Process", block: Block, partial: bool = False,
            "    PAGES_GET = pages.get"]
     for h in hots:
         src.append(f"    {h} = None")
-    src.append("    def run(thread, regs"
-               + (", m):" if partial else "):"))
+    src.append("    def run(thread, regs, m, K):" if metered
+               else "    def run(thread, regs):")
     if hots:
         src.append("        nonlocal " + ", ".join(hots))
-    src.append("        i = 0")
+    if metered:
+        # ``e`` is the op index the budget runs out at; ``c0`` the
+        # cycle prefix of the skipped ops, so every static accounting
+        # constant above stays exact relative to ``K``.
+        src.extend(["        e = K + m", "        c0 = CP[K]",
+                    "        i = K"])
+    else:
+        src.append("        i = 0")
+    if skips:
+        src.extend(["        sn = 0", "        sc = 0"])
     src.append("        try:")
     if body:
         src.extend("            " + line for line in body)
     else:
         src.append("            pass")
+    # A faulting op ``i`` retires the ops before it (from K, metered).
+    d, c = ("i - K", "CP[i] - c0") if metered else ("i", "CP[i]")
+    if skips:
+        d, c = d + " - sn", c + " - sc"
     src.extend([
         "        except SegmentationFault as exc:",
-        "            if i:",
-        "                thread.instr_count += i",
-        "                process.instr_total += i",
-        "                process.cycle_total += CP[i]",
+        f"            if {d}:",
+        f"                thread.instr_count += {d}",
+        f"                process.instr_total += {d}",
+        f"                process.cycle_total += {c}",
         "            thread.pc = PCS[i]",
         "            raise CpuFault(thread, str(exc)) from exc",
     ])
     if tail_pc is not None:
         src.append(f"        thread.pc = {tail_pc}")
     src.extend([
-        f"        thread.instr_count += {total}",
-        f"        process.instr_total += {total}",
-        f"        process.cycle_total += {cycles}",
-        f"        return {total}",
+        f"        thread.instr_count += {done(total)}",
+        f"        process.instr_total += {done(total)}",
+        f"        process.cycle_total += {cycles_at(cycles)}",
+        f"        return {done(total)}",
         "    return run",
     ])
-    text = "\n".join(src)
-    code = _CODE_CACHE.get(text)
-    if code is None:
-        code = compile(text, f"<block@{block.pc:#x}>", "exec")
-        _CODE_CACHE[text] = code
+    code = compile("\n".join(src), f"<block@{block.pc:#x}>", "exec")
     ns: dict = {}
     exec(code, ns)
     factory = ns["_make"]
@@ -786,7 +910,3 @@ def codegen(process: "Process", block: Block, partial: bool = False,
                    _U64S.unpack_from, tuple(pcs), tuple(cp),
                    CpuFault, SegmentationFault)
 
-
-# Imported last: chains.py refers back to this module's codegen tables
-# and caches, so the circular import must resolve after they exist.
-from . import chains  # noqa: E402

@@ -1,845 +1,18 @@
-"""Tier-3 execution: trace linking and compiled superblock chains.
+"""Retired tier-3 chain compiler: a stub that reports zero work.
 
-The tier-2 engine (:mod:`repro.vm.blocks`) compiles each hot superblock
-into one generated function, but every trace still returns to the
-Python dispatch loop in ``run_thread``, and every generated line pays
-the signed-i64 canonicalization idiom (``& U64M`` plus the ``v >> 63``
-sign fix) that keeping register state in the architectural ``regs``
-list forces on it. This module removes both costs: when a compiled
-trace has stayed hot, its side-exit and terminator targets that are
-themselves hot compiled traces are *linked* — their bodies are patched
-into one generated **chain** function, so whole webs of traces execute
-in a single Python call, over register state held in function locals
-in a cheaper representation.
-
-Four mechanisms carry the speedup:
-
-* **Trace linking.** A chain is built over a *web*: the hot compiled
-  blocks reachable along static successor edges (side-exit targets,
-  both arms of a two-way ``bcc`` terminator, the fall-through tail of
-  a length-split trace, and call return addresses) from a canonical
-  root, up to ``MAX_CHAIN_BLOCKS`` of them. Each becomes a labelled
-  *segment* of one generated trampoline function; an in-chain transfer
-  is a label assignment + ``continue`` instead of a return to
-  ``run_thread``. ``ret`` terminators link dynamically: the computed
-  return pc is compared against the chain's known call-return heads,
-  so a call+return inside a hot loop never leaves the chain. Every
-  segment block shares the one compiled chain — each gets an entry
-  handler that starts the trampoline at its own label, so a web of N
-  hot traces costs one ``compile()``, not N.
-* **Loop-closing jumps.** A backward-``bcc`` terminator whose target
-  is in the chain compiles into a native Python loop edge: the
-  generated ``while 1:`` re-enters the target segment directly.
-  Register state lives in *function locals* for the whole chain
-  (``r5`` instead of ``regs[5]``), and is spilled to the
-  ``ThreadContext`` only at chain exits — quantum boundaries, unlinked
-  side exits, and faults.
-* **Metered arms: exact entry and exit at any op.** Each segment is
-  emitted twice: a *fast* arm (no per-op checks, entered only when the
-  whole trace fits the remaining budget) and a *metered* arm that can
-  start at any op index ``K`` and retires exactly up to the budget,
-  leaving ``pc`` mid-trace. Chains therefore consume the quantum
-  **exactly**: a boundary that lands mid-trace is taken inside the
-  chain (metered exit), and the next quantum re-enters the chain at
-  that op (metered entry) via ``Process.chain_entries`` — the
-  per-process map from every interior trace pc to its ``(run, label,
-  K)`` resume point. Without this, every quantum boundary would seed a
-  fresh overlapping trace one phase over (the quantum *drifts* through
-  the loop), and the block cache fills with near-duplicate traces that
-  fragment the webs and churn the chain caches.
-* **Cheap value representation + inline-cached memory.** Chain locals
-  hold registers as *canonical u64* (the architectural ``regs`` list
-  holds signed i64). That kills the per-op sign-fix: ``add`` is one
-  masked addition, bitwise ops and ``lsr`` need no mask at all, loads
-  use the ``unpack_from`` result as-is, and addresses need no
-  canonicalization. Signed compares use the sign-flip identity
-  ``(a ^ 2**63) - (b ^ 2**63)`` — one line — and the flags local holds
-  that raw difference (only its sign is architectural; it is
-  normalized to {-1, 0, 1} when spilled). Every load/store site keeps
-  a folded last-page hit test (``addr - cached_base`` in range); loads
-  additionally share a chain-level *hot VMA* cache (``VL``/``VH``
-  bounds filled in by the slow path), so a load walking a multi-page
-  array skips the full page-table walk on every page of the hot
-  mapping. Stores deliberately do **not** use the VMA cache: a store's
-  first touch of each page must go through ``write_u64`` so dirty-page
-  tracking observes it (the per-site page cache preserves exactly that
-  property; see ``Process.start_dirty_tracking``).
-
-Correctness invariants, each inherited from tier-2 and preserved:
-
-* **Exact quantum boundaries.** The chain retires exactly
-  ``min(budget, instructions to the first unlinked exit or fault)``:
-  fast arms are only entered when their whole trace fits, and the
-  metered arm stops op-for-op at the budget with ``pc`` mid-trace.
-  Retired counts per scheduling slice are therefore instruction-for-
-  instruction identical to the per-step engine, which keeps the flight
-  recorder's per-quantum digests bit-identical across all three tiers.
-* **OSR-style deopt on faults.** A fault mid-chain reconstructs exact
-  per-instruction state: the handler normalizes and spills the
-  register locals (everything retired so far is architecturally
-  visible), positions ``pc`` at the faulting op via the flat fault
-  table, and accounts the retired prefix — bit-for-bit what
-  ``interp.step`` would have left behind.
-* **No kernel entries.** Chains are built from blocks, and blocks
-  never contain ``syscall``/``trap``; thread status, process exit, and
-  code versions cannot change inside a chain, so the eqpoint-park and
-  scheduling invariants of tier-2 carry over unchanged.
-* **Invalidation.** A chain hangs off its :class:`~.blocks.Block` in
-  ``process.block_cache``, and its resume points live in
-  ``process.chain_entries``; every invalidation that drops blocks
-  (``invalidate_code`` version bumps, dirty-tracking epochs) clears
-  both, and the shared chain *factory* cache is keyed by full segment
-  content (absolute pcs, decoded ops, terminators), so a rewritten
-  process can never bind or resume a stale chain.
+Tier-3 chains were deleted; tier 2's mid-trace resume (see
+:mod:`repro.vm.blocks`) kept their one real win without the recompiles.
+The cold-run benchmark harness (``perfbench/layers.py``) still wraps
+``build_chain`` and reads ``chain_cache_info``, so both names stay:
+nothing calls ``build_chain``, and the counters stay zero.
 """
 
-from __future__ import annotations
 
-import struct
-import sys
-from typing import TYPE_CHECKING, Dict, List, Set, Tuple
-
-from ..errors import SegmentationFault
-from ..mem.paging import LAST_U64_SLOT, PAGE_MASK
-from .interp import CpuFault
-from . import blocks as _b
-
-if TYPE_CHECKING:
-    from .blocks import Block
-    from .kernel import Process
-
-#: Upper bound on linked blocks per chain. Large enough that the hot
-#: region of a call-heavy loop body (Dhrystone's main loop spans some
-#: forty blocks across its ``Proc_*`` calls) closes into a single
-#: chain rather than ping-ponging between several, each switch paying
-#: a register spill/reload; small enough that one generated function
-#: stays tractable for the bytecode compiler.
-MAX_CHAIN_BLOCKS = 64
-
-#: Dispatches of a block's compiled (tier-2) function before chain
-#: formation is attempted. By then every block on the hot path has
-#: itself been through tier-2 warmup, so the successor walk links the
-#: whole loop in one attempt — chain factories are large generated
-#: functions, so building them for regions that are not genuinely hot
-#: (e.g. short-lived fuzz programs) costs more than it saves. Tests
-#: lower this to force chains; steady-state benchmarks lower it to
-#: shorten warmup.
-CHAIN_THRESHOLD = 8
-
-#: Cached "this block heads no chain" decision (no linkable successor,
-#: or the block is a drifted duplicate outside the canonical web),
-#: stored on ``Block.chain``.
-NO_CHAIN = object()
-
-_U64M = 0xFFFFFFFFFFFFFFFF
-_TWO64 = 1 << 64
-_SIGN = 1 << 63
-_U64S = struct.Struct("<Q")
-
-if sys.byteorder == "little":
-    def _cast_page(page):
-        """Word view of one page: ``view[slot]`` is the u64 at byte
-        offset ``slot * 8``. On little-endian hosts a zero-copy
-        ``'Q'``-cast memoryview — the chain fast path's subscripts
-        compile to plain ``BINARY_SUBSCR``/``STORE_SUBSCR`` instead of
-        struct calls."""
-        return memoryview(page).cast("Q")
-else:                                      # pragma: no cover
-    class _WordView:
-        """Big-endian fallback: same subscript protocol, guest order
-        (little-endian) preserved via the explicit ``<Q`` struct."""
-        __slots__ = ("raw",)
-
-        def __init__(self, page):
-            self.raw = page
-
-        def __getitem__(self, slot):
-            return _U64S.unpack_from(self.raw, slot * 8)[0]
-
-        def __setitem__(self, slot, value):
-            _U64S.pack_into(self.raw, slot * 8, value)
-
-    def _cast_page(page):
-        return _WordView(page)
-_PM = PAGE_MASK
-_LS = LAST_U64_SLOT
-
-#: chain shape -> (exec'd ``_make`` factory, fault tables). Keyed by
-#: segment *content* (absolute pcs, ops, immediates, terminators), so
-#: every process running byte-identical code shares one compiled chain
-#: and only pays the per-process closure binding.
-_CHAIN_FACTORY_CACHE: dict = {}
-
-#: Counters for the bench harness (see ``chain_cache_info``).
-chain_stats = {"built": 0, "bound": 0, "unlinked": 0}
+def build_chain(*args, **kwargs):
+    """Never called: no execution tier links chains any more."""
+    raise NotImplementedError("tier-3 chains were removed")
 
 
 def chain_cache_info() -> dict:
-    """Chain-compiler statistics, exposed for benchmarks and tests."""
-    info = dict(chain_stats)
-    info["factories"] = len(_CHAIN_FACTORY_CACHE)
-    return info
-
-
-# -- chain graph collection ----------------------------------------------------
-
-
-def _static_successors(block: "Block") -> List[int]:
-    """Every statically-known pc execution can reach right after (or
-    from inside) ``block``: side-exit targets, call return addresses
-    (the dynamic ``ret`` link-back candidates), both arms of a two-way
-    ``bcc`` terminator, and the fall-through tail of a length-split
-    trace. ``ret`` contributes nothing — its successor is dynamic.
-    Memoized on the block: relink checks walk webs often.
-    """
-    out = block.succ_pcs
-    if out is not None:
-        return out
-    out = []
-    for k, instr in enumerate(block.instrs):
-        if instr.op == "bcc":
-            out.append(instr.target)
-        elif instr.op == "call":
-            out.append(block.pcs[k] + instr.size)
-    term = block.term_instr
-    n = block.body_len
-    if term is None:
-        out.append(block.pcs[n])
-    elif term.op == "b":
-        out.append(term.target)
-    elif term.op == "bcc":
-        out.append(term.target)
-        out.append(block.pcs[n] + term.size)
-    block.succ_pcs = out
-    return out
-
-
-def _seg_key(isa_name: str, blk: "Block"):
-    """Memoized per-block factory key: epoch-driven relinking rebuilds
-    chain keys often enough that recomputing the per-instruction tuple
-    each time would dominate the (cheap) rebind."""
-    k = blk.chain_key
-    if k is None:
-        k = blk.chain_key = _b._factory_key(isa_name, blk, False)
-    return k
-
-
-def _hot_block(cache: dict, version: int, pc: int):
-    """The block at ``pc`` iff it is link-eligible: present, current,
-    compiled by tier-2, not demoted, and non-empty. Cold or demoted
-    targets stay chain exits — linking them would compile code that
-    never proved hot (or that tier-2 already refused)."""
-    blk = cache.get(pc)
-    if (blk is None or blk.version != version or blk.fn is None
-            or blk.demoted or blk.full <= 0):
-        return None
-    return blk
-
-
-def _collect_web(cache: dict, version: int, root: "Block",
-                 cap: int) -> List["Block"]:
-    """Hot compiled blocks reachable from ``root`` along static
-    successor edges, breadth-first, at most ``cap`` of them."""
-    seen = {root.pc}
-    segs: List["Block"] = [root]
-    cursor = 0
-    while cursor < len(segs):
-        blk = segs[cursor]
-        cursor += 1
-        for target in _static_successors(blk):
-            if target in seen or len(segs) >= cap:
-                continue
-            cand = _hot_block(cache, version, target)
-            if cand is None:
-                continue
-            seen.add(target)
-            segs.append(cand)
-    return segs
-
-
-def build_chain(process: "Process", head: "Block", cache: dict):
-    """Link the canonical hot web around ``head`` into one chain,
-    returning ``head``'s entry handler ``chain(thread, regs, budget)
-    -> retired`` — or :data:`NO_CHAIN` when ``head`` should stay on
-    tier-2 (no in-chain edge exists, or ``head`` is outside the
-    canonical web). Every linked block is given its own entry handler
-    into the same compiled trampoline, and every *interior* pc of
-    every segment is registered in ``process.chain_entries`` as a
-    metered resume point, so a quantum boundary parked mid-trace
-    re-enters the chain instead of seeding a duplicate trace.
-
-    The segment set and order are *canonicalized*: because backward
-    branches terminate traces (see :func:`_decode_trace`), every
-    member of a strongly-connected hot region has the *same* forward
-    closure, so collecting ``head``'s closure and sorting it by pc
-    yields one factory-cache key for the whole web no matter which
-    member triggered the build. The only blocks that break this
-    symmetry are quantum-drift duplicates — traces that start at an
-    *interior* pc of a web member because a quantum boundary once
-    parked mid-trace. Those are detected exactly (``head.pc`` appears
-    in another member's ``pcs[1:]``) and refused rather than given a
-    private near-duplicate chain: they keep executing on tier-2 and
-    control re-enters the web's chain at the next real boundary
-    (usually immediately, through the member's ``chain_entries``
-    resume point at this very pc).
-    """
-    version = process.code_version
-    segs = _collect_web(cache, version, head, MAX_CHAIN_BLOCKS)
-    if len(segs) > 1:
-        for blk in segs:
-            if blk is not head and head.pc in blk.pcs[1:]:
-                # ``head`` starts at an *interior* pc of another web
-                # member: it is a quantum-drift duplicate — a mid-trace
-                # suffix compiled when a quantum boundary once parked
-                # inside that member. Chaining it would mint one
-                # near-duplicate factory per drift phase; refused, it
-                # executes on tier-2 until control re-enters the web's
-                # chain (usually immediately, through the member's
-                # chain_entries resume point at this very pc).
-                chain_stats["unlinked"] += 1
-                return NO_CHAIN
-        segs.sort(key=lambda blk: blk.pc)
-    web = tuple(blk.pc for blk in segs)
-    existing = head.chain
-    if (existing is not None and existing is not NO_CHAIN
-            and head.chain_web == web):
-        # Epoch-driven relink, but the web did not actually grow: the
-        # bound chain is still the right one (block contents are
-        # immutable per code version). The caller already restamped
-        # the epoch, so the walk is not repeated until the next
-        # tier-up event.
-        return existing
-    labels: Dict[int, int] = {blk.pc: j for j, blk in enumerate(segs)}
-    ret_targets: Set[int] = set()
-    for blk in segs:
-        for k, instr in enumerate(blk.instrs):
-            if instr.op == "call":
-                ret_targets.add(blk.pcs[k] + instr.size)
-    linked = len(segs) > 1 or any(
-        t in labels for t in _static_successors(segs[0])) or (
-        segs[0].term_instr is not None and segs[0].term_instr.op == "ret"
-        and segs[0].pc in ret_targets)
-    if not linked:
-        chain_stats["unlinked"] += 1
-        return NO_CHAIN
-
-    isa = process.isa
-    key = (isa.name, "chain", tuple(_seg_key(isa.name, blk)
-                                    for blk in segs))
-    entry = _CHAIN_FACTORY_CACHE.get(key)
-    if entry is None:
-        text, consts = _emit_chain(isa, segs, labels, ret_targets)
-        code = _b._CODE_CACHE.get(text)
-        if code is None:
-            code = compile(text, f"<chain@{segs[0].pc:#x}>", "exec")
-            _b._CODE_CACHE[text] = code
-        ns: dict = {}
-        exec(code, ns)
-        entry = (ns["_make"], consts)
-        _CHAIN_FACTORY_CACHE[key] = entry
-        chain_stats["built"] += 1
-    factory, (fpcs, foff, fcoff, segcp) = entry
-    chain_stats["bound"] += 1
-    aspace = process.aspace
-    run = factory(process, aspace._pages, aspace.read_u64, aspace.write_u64,
-                  aspace.find_vma, _cast_page, _U64S.unpack_from,
-                  fpcs, foff, fcoff, segcp, CpuFault, SegmentationFault)
-    epoch = process.hot_epoch
-    entries = process.chain_entries
-    nsegs = len(segs)
-    result = NO_CHAIN
-    for j, blk in enumerate(segs):
-        enter = run if j == 0 else _entry_handler(run, j)
-        if blk.pc == head.pc:
-            result = enter
-        # Overwrite, don't keep: an existing handler on a member block
-        # was built at an older hot epoch (or in the same pass) and the
-        # fresh web is at least as complete.
-        blk.chain = enter
-        blk.chain_m = (run, nsegs + j)
-        blk.chain_epoch = epoch
-        blk.chain_web = web
-        # Interior pcs (and the terminator's own pc) resume through
-        # the metered arm; the successor pc past a trace's end is the
-        # next block's business, not a resume point of this one.
-        pcs = blk.pcs
-        lim = blk.body_len + (1 if blk.term_instr is not None else 0)
-        for k in range(1, lim):
-            entries[pcs[k]] = (run, nsegs + j, k)
-    return result
-
-
-def _entry_handler(run, label: int):
-    """An entry into ``run``'s trampoline at ``label`` — how non-head
-    segments reuse the head's compiled chain."""
-    def enter(thread, regs, budget):
-        return run(thread, regs, budget, label)
-    return enter
-
-
-# -- chain code generation -----------------------------------------------------
-#
-# One chain compiles into ONE function: a ``while 1:`` trampoline with
-# two arms per linked segment. Labels 0..S-1 are the *fast* arms — no
-# per-op checks, entered only when the whole trace fits the remaining
-# budget. Labels S..2S-1 are the *metered* arms — every op is guarded
-# so execution can start at op index ``K`` (quantum-boundary resume)
-# and stops exactly when the retired count reaches the budget, parking
-# ``pc`` mid-trace. Register locals hold canonical u64; ``f`` holds
-# the raw compare difference (sign-accurate); ``n``/``c`` batch the
-# retired instruction/cycle counts; every exit path sets ``pc`` and
-# breaks to a single spill epilogue that re-canonicalizes to signed
-# i64. The flat fault tables (PCS/OFF/COFF indexed by ``i``, which
-# each potentially-faulting slow path sets) let the handlers
-# reconstruct the exact per-instruction state of whichever segment
-# faulted; the metered arm pre-subtracts its skip count from ``n``/
-# ``c`` so the same static tables stay exact there too.
-
-
-def _scan_registers(isa, segs) -> Tuple[set, set, bool]:
-    """Registers read / written anywhere in the chain, plus TLS use."""
-    abi = isa.abi
-    sp = isa.reg(abi.stack_pointer)
-    fp = isa.reg(abi.frame_pointer)
-    lr = (isa.reg(abi.link_register)
-          if abi.link_register is not None else None)
-    reads: set = set()
-    writes: set = set()
-    uses_tp = False
-    for blk in segs:
-        for instr in blk.instrs:
-            op = instr.op
-            rd, rn, rm = instr.rd, instr.rn, instr.rm
-            if op == "mov":
-                reads.add(rn); writes.add(rd)
-            elif op in ("movi", "movi_full", "movz"):
-                writes.add(rd)
-            elif op in _b._MOVK_SHIFTS:
-                reads.add(rd); writes.add(rd)
-            elif op == "load":
-                reads.add(rn); writes.add(rd)
-            elif op == "store":
-                reads.add(rn); reads.add(rd)
-            elif op == "ldp":
-                reads.add(fp); writes.add(rd); writes.add(rm)
-            elif op == "stp":
-                reads.add(fp); reads.add(rd); reads.add(rm)
-            elif op in ("lea", "addi"):
-                reads.add(rn); writes.add(rd)
-            elif op == "push":
-                reads.add(sp); writes.add(sp); reads.add(rd)
-            elif op == "pop":
-                reads.add(sp); writes.add(sp); writes.add(rd)
-            elif op == "cmp":
-                reads.add(rn); reads.add(rm)
-            elif op == "cmpi":
-                reads.add(rn)
-            elif op == "tlsload":
-                writes.add(rd); uses_tp = True
-            elif op == "tlsstore":
-                reads.add(rd); uses_tp = True
-            elif op == "call":
-                if lr is None:
-                    reads.add(sp); writes.add(sp)
-                else:
-                    writes.add(lr)
-            elif op in ("b", "nop", "bcc"):
-                pass
-            else:                          # ALU: binops / shifts / div
-                reads.add(rn); reads.add(rm); writes.add(rd)
-        term = blk.term_instr
-        if term is not None and term.op == "ret":
-            if lr is None:
-                reads.add(sp); writes.add(sp)
-            else:
-                reads.add(lr)
-    return reads, writes, uses_tp
-
-
-#: Bitwise binops need no mask under the u64 representation (operands
-#: canonical u64 keep results in range); arithmetic ones do.
-_MASKLESS_BINOPS = frozenset(("and", "orr", "eor"))
-
-#: Page-base sentinel for cold memory-site caches: far enough outside
-#: the u64 address range that ``addr - sentinel`` can never land in
-#: [0, LAST_U64_SLOT], so the first access always takes the slow path.
-_COLD_PAGE = 1 << 70
-
-
-def _off(base: str, imm: int) -> str:
-    """Unmasked address expression ``base ± imm`` for a memory site."""
-    if not imm:
-        return base
-    return f"{base} - {-imm}" if imm < 0 else f"{base} + {imm}"
-
-
-def _emit_chain(isa, segs, labels: Dict[int, int],
-                ret_targets: Set[int]) -> Tuple[str, tuple]:
-    abi = isa.abi
-    sp = isa.reg(abi.stack_pointer)
-    fp = isa.reg(abi.frame_pointer)
-    lr = (isa.reg(abi.link_register)
-          if abi.link_register is not None else None)
-    nsegs = len(segs)
-    reads, writes, uses_tp = _scan_registers(isa, segs)
-    used = sorted(reads | writes)
-    spilled = sorted(writes)
-
-    body: List[Tuple[int, str]] = []       # (indent units, text)
-    sites: List[str] = []                  # closure cell names, in pairs
-    fpcs: List[int] = []                   # flat fault tables, indexed by i
-    foff: List[int] = []
-    fcoff: List[int] = []
-
-    def emit(depth: int, text: str) -> None:
-        body.append((depth, text))
-
-    def spill_lines(depth: int) -> None:
-        for idx in spilled:
-            emit(depth, f"regs[{idx}] = "
-                        f"r{idx} - {_TWO64} if r{idx} >> 63 else r{idx}")
-        emit(depth, "thread.flags = (f > 0) - (f < 0)")
-
-    def new_site() -> Tuple[str, str]:
-        pair = (f"p{len(sites) // 2}", f"s{len(sites) // 2}")
-        sites.extend(pair)
-        return pair
-
-    def fault_index(pc: int, off: int, coff: int) -> int:
-        fpcs.append(pc)
-        foff.append(off)
-        fcoff.append(coff)
-        return len(fpcs) - 1
-
-    def read(depth: int, pc: int, off: int, coff: int,
-             addr: str, dest: str) -> None:
-        # The hit test folds the page-base compare, the straddle check,
-        # the alignment check, and the offset computation into one
-        # subtraction and one mask: ``o = addr - cached_base`` has no
-        # bits outside ``LAST_U64_SLOT`` iff the access is an aligned
-        # word wholly inside the cached page, and the data move is then
-        # a plain subscript on the page's ``'Q'``-cast memoryview — no
-        # struct call, no tuple. ``addr`` is deliberately unmasked (one
-        # AND saved per access) — a wrapped address falls off the fast
-        # path and is masked in the slow arm, as do the (compiler-never-
-        # emitted) misaligned words. Misses consult the chain's hot VMA
-        # (``VL``/``VH``): a full-word access inside its bounds is known
-        # readable, so one page-dict probe replaces the whole read_u64
-        # walk (missing pages still take the walk: under lazy post-copy
-        # an absent store is not proof of zeros).
-        p, s = new_site()
-        fi = fault_index(pc, off, coff)
-        emit(depth, f"if not (o := {addr} - {p}) & {~_LS}:")
-        emit(depth + 1, f"{dest} = {s}[o >> 3]")
-        emit(depth, "else:")
-        emit(depth + 1, f"a = (o + {p}) & {_U64M}")
-        emit(depth + 1, f"o = a & {_PM}")
-        emit(depth + 1, f"if VL <= a and a + 8 <= VH and o <= {_LS}:")
-        emit(depth + 2, "q = PAGES_GET(a - o)")
-        emit(depth + 2, "if q is None:")
-        emit(depth + 3, f"i = {fi}")
-        emit(depth + 3, f"{dest} = RU(a)")
-        emit(depth + 2, "else:")
-        emit(depth + 3, f"{dest} = UPK(q, o)[0]")
-        emit(depth + 3, f"{p} = a - o")
-        emit(depth + 3, f"{s} = MQ(q)")
-        emit(depth + 1, "else:")
-        emit(depth + 2, f"i = {fi}")
-        emit(depth + 2, f"{dest} = RU(a)")
-        emit(depth + 2, "q = PAGES_GET(a - o)")
-        emit(depth + 2, "if q is not None:")
-        emit(depth + 3, f"{p} = a - o")
-        emit(depth + 3, f"{s} = MQ(q)")
-        emit(depth + 2, "w = FV(a)")
-        emit(depth + 2,
-             "if w is not None and w.readable and a + 8 <= w.end:")
-        emit(depth + 3, "VL = w.start")
-        emit(depth + 3, "VH = w.end")
-
-    def write(depth: int, pc: int, off: int, coff: int,
-              addr: str, value: str) -> None:
-        # Same folded hit test as ``read``. Stores keep only the
-        # per-site page cache: the first touch of every page per
-        # binding must reach write_u64 so dirty-page tracking marks it
-        # (chains are dropped when tracking starts, exactly like tier-2
-        # blocks).
-        p, s = new_site()
-        fi = fault_index(pc, off, coff)
-        emit(depth, f"if not (o := {addr} - {p}) & {~_LS}:")
-        emit(depth + 1, f"{s}[o >> 3] = {value}")
-        emit(depth, "else:")
-        emit(depth + 1, f"a = (o + {p}) & {_U64M}")
-        emit(depth + 1, f"o = a & {_PM}")
-        emit(depth + 1, f"i = {fi}")
-        emit(depth + 1, f"WU(a, {value})")
-        emit(depth + 1, "q = PAGES_GET(a - o)")
-        emit(depth + 1, "if q is not None:")
-        emit(depth + 2, f"{p} = a - o")
-        emit(depth + 2, f"{s} = MQ(q)")
-
-    def transition(depth: int, target: int, add_n: int, add_c: int) -> None:
-        """Leave the current segment for ``target``: enter the fast arm
-        when the target's whole trace fits the remaining budget, its
-        metered arm when any budget remains (it parks ``pc`` exactly at
-        the boundary), else exit with ``pc`` at the target."""
-        if add_n:
-            emit(depth, f"n += {add_n}")
-            emit(depth, f"c += {add_c}")
-        j = labels.get(target)
-        if j is not None:
-            emit(depth, f"if budget - n >= {segs[j].full}:")
-            emit(depth + 1, f"L = {j}")
-            emit(depth + 1, "continue")
-            emit(depth, "if budget > n:")
-            emit(depth + 1, f"L = {nsegs + j}")
-            emit(depth + 1, "K = 0")
-            emit(depth + 1, "continue")
-        emit(depth, f"pc = {target}")
-        emit(depth, "break")
-
-    def emit_segment(j: int, blk, metered: bool, base: int) -> None:
-        pcs = blk.pcs
-        cp = blk.cost_prefix
-        nb = blk.body_len
-        if metered:
-            # Pre-subtract the skipped prefix: every static accounting
-            # constant below (side exits, segment totals, fault table
-            # offsets) then stays exact without knowing K, and the
-            # budget stop is the single compare ``e == k``.
-            emit(base, "n -= K")
-            emit(base, f"c -= CP{j}[K]")
-            emit(base, "e = budget - n")
-        for k, instr in enumerate(blk.instrs):
-            op = instr.op
-            rd, rn, rm = instr.rd, instr.rn, instr.rm
-            imm = instr.imm if instr.imm is not None else 0
-            if op in ("nop", "b"):         # extension b: pc baked in pcs
-                if metered and k:
-                    emit(base, f"if e == {k}: pc = {pcs[k]};"
-                               f" c += {cp[k]}; n = budget; break")
-                continue
-            if metered:
-                emit(base, f"if K <= {k}:")
-                d = base + 1
-                if k:
-                    # Budget exhausted here: the retired total is the
-                    # budget by definition (e == k solves exactly
-                    # that), and the cycle prefix of this arm pass is
-                    # cp[k] (K's share was pre-subtracted).
-                    emit(d, f"if e == {k}: pc = {pcs[k]};"
-                            f" c += {cp[k]}; n = budget; break")
-            else:
-                d = base
-            if op == "bcc":
-                # Side exit: taken, account the exact prefix and either
-                # continue at a linked segment or spill out.
-                sym = _b._COND_SYMS[instr.cond]
-                emit(d, f"if f {sym} 0:")
-                transition(d + 1, instr.target, k + 1, cp[k + 1])
-            elif op == "mov":
-                emit(d, f"r{rd} = r{rn}")
-            elif op in ("movi", "movi_full"):
-                emit(d, f"r{rd} = {imm & _U64M}")
-            elif op == "movz":
-                emit(d, f"r{rd} = {imm & 0xFFFF}")
-            elif op in _b._MOVK_SHIFTS:
-                shift = _b._MOVK_SHIFTS[op]
-                keep = _U64M & ~(0xFFFF << shift)
-                part = (imm & 0xFFFF) << shift
-                emit(d, f"r{rd} = (r{rd} & {keep}) | {part}")
-            elif op == "load":
-                read(d, pcs[k], k, cp[k], _off(f"r{rn}", imm), f"r{rd}")
-            elif op == "store":
-                write(d, pcs[k], k, cp[k], _off(f"r{rn}", imm), f"r{rd}")
-            elif op == "ldp":
-                emit(d, f"t = r{fp}")
-                read(d, pcs[k], k, cp[k], _off("t", imm), f"r{rd}")
-                read(d, pcs[k], k, cp[k], _off("t", imm + 8), f"r{rm}")
-            elif op == "stp":
-                emit(d, f"t = r{fp}")
-                write(d, pcs[k], k, cp[k], _off("t", imm), f"r{rd}")
-                write(d, pcs[k], k, cp[k], _off("t", imm + 8), f"r{rm}")
-            elif op in ("lea", "addi"):
-                emit(d, f"r{rd} = (r{rn} + {imm}) & {_U64M}"
-                     if imm else f"r{rd} = r{rn}")
-            elif op == "push":
-                emit(d, f"r{sp} = (r{sp} - 8) & {_U64M}")
-                write(d, pcs[k], k, cp[k], f"r{sp}", f"r{rd}")
-            elif op == "pop":
-                read(d, pcs[k], k, cp[k], f"r{sp}", f"r{rd}")
-                if rd != sp:               # pop sp: no post-increment
-                    emit(d, f"r{sp} = (r{sp} + 8) & {_U64M}")
-            elif op == "cmp":
-                # Signed compare via the sign-flip identity; f keeps
-                # the raw difference (sign-accurate, normalized only
-                # when spilled).
-                emit(d, f"f = (r{rn} ^ {_SIGN}) - (r{rm} ^ {_SIGN})")
-            elif op == "cmpi":
-                emit(d,
-                     f"f = (r{rn} ^ {_SIGN}) - {(imm & _U64M) ^ _SIGN}")
-            elif op == "tlsload":
-                read(d, pcs[k], k, cp[k], _off("tp", imm), f"r{rd}")
-            elif op == "tlsstore":
-                write(d, pcs[k], k, cp[k], _off("tp", imm), f"r{rd}")
-            elif op in _MASKLESS_BINOPS:
-                emit(d, f"r{rd} = r{rn} {_b._BINOP_SYMS[op]} r{rm}")
-            elif op in _b._BINOP_SYMS:
-                emit(d, f"r{rd} = (r{rn} {_b._BINOP_SYMS[op]} r{rm})"
-                        f" & {_U64M}")
-            elif op == "lsl":
-                emit(d, f"r{rd} = (r{rn} << (r{rm} & 63)) & {_U64M}")
-            elif op == "lsr":
-                emit(d, f"r{rd} = r{rn} >> (r{rm} & 63)")
-            elif op in ("sdiv", "srem"):
-                msg = ("integer division by zero" if op == "sdiv"
-                       else "integer remainder by zero")
-                emit(d, f"x = r{rn} - {_TWO64} if r{rn} >> 63 else r{rn}")
-                emit(d, f"y = r{rm} - {_TWO64} if r{rm} >> 63 else r{rm}")
-                emit(d, "if y == 0:")
-                emit(d + 1, f"thread.pc = {pcs[k]}")
-                spill_lines(d + 1)
-                emit(d + 1, f"thread.instr_count += n + {k}")
-                emit(d + 1, f"process.instr_total += n + {k}")
-                emit(d + 1, f"process.cycle_total += c + {cp[k]}")
-                emit(d + 1, f"raise CpuFault(thread, {msg!r})")
-                emit(d, "v = abs(x) // abs(y)" if op == "sdiv"
-                     else "v = abs(x) % abs(y)")
-                if op == "sdiv":
-                    emit(d, f"r{rd} = (-v if (x < 0) != (y < 0) else v)"
-                            f" & {_U64M}")
-                else:
-                    emit(d, f"r{rd} = (-v if x < 0 else v) & {_U64M}")
-            elif op == "call":             # extension call: pc baked in
-                return_to = pcs[k] + instr.size
-                if lr is None:             # x86: push the return address
-                    emit(d, f"r{sp} = (r{sp} - 8) & {_U64M}")
-                    write(d, pcs[k], k, cp[k], f"r{sp}", str(return_to))
-                else:                      # arm: link register
-                    emit(d, f"r{lr} = {return_to}")
-
-        total = nb
-        cycles = cp[nb]
-        term = blk.term_instr
-        if term is not None:
-            total += 1
-            cycles += blk.term_cost
-            if metered:
-                # The budget may end right before the terminator.
-                emit(base, f"if e == {nb}: pc = {pcs[nb]};"
-                           f" c += {cp[nb]}; n = budget; break")
-        if term is None:                   # length-split trace: fall through
-            transition(base, pcs[nb], total, cycles)
-        elif term.op == "b":               # loop-closing back-edge
-            transition(base, term.target, total, cycles)
-        elif term.op == "bcc":             # loop-closing two-way terminator
-            emit(base, f"n += {total}")
-            emit(base, f"c += {cycles}")
-            sym = _b._COND_SYMS[term.cond]
-            emit(base, f"if f {sym} 0:")
-            transition(base + 1, term.target, 0, 0)
-            transition(base, pcs[nb] + term.size, 0, 0)
-        else:                              # ret: dynamic link via return pc
-            # The pop executes *before* the segment's accounting is
-            # added to ``n``/``c``: a faulting pop must account only
-            # the ``nb``-op prefix (via the fault table), exactly like
-            # a faulting body op.
-            if lr is None:                 # x86: pop the return pc
-                read(base, pcs[nb], nb, cp[nb], f"r{sp}", "pc")
-                emit(base, f"r{sp} = (r{sp} + 8) & {_U64M}")
-            else:                          # arm: link register
-                emit(base, f"pc = r{lr}")
-            emit(base, f"n += {total}")
-            emit(base, f"c += {cycles}")
-            for target in sorted(ret_targets):
-                j2 = labels.get(target)
-                if j2 is None:
-                    continue
-                emit(base, f"if pc == {target}:")
-                emit(base + 1, f"if budget - n >= {segs[j2].full}:")
-                emit(base + 2, f"L = {j2}")
-                emit(base + 2, "continue")
-                emit(base + 1, "if budget > n:")
-                emit(base + 2, f"L = {nsegs + j2}")
-                emit(base + 2, "K = 0")
-                emit(base + 2, "continue")
-                emit(base + 1, "break")
-            emit(base, "break")
-
-    # Label dispatch is a binary tree over [0, 2 * nsegs) — fast arms
-    # are labels [0, nsegs), metered arms [nsegs, 2 * nsegs) — so a
-    # transition costs ~log2 compares instead of a linear label scan.
-    # Leaves carry no equality test: every label reaching the loop top
-    # (entry handlers, transitions, chain_entries resume points) is a
-    # valid arm index, so the range pins the arm exactly.
-    def emit_dispatch(lo: int, hi: int, depth: int) -> None:
-        if hi - lo == 1:
-            j = lo % nsegs
-            emit_segment(j, segs[j], lo >= nsegs, depth)
-            return
-        mid = (lo + hi) // 2
-        emit(depth, f"if L < {mid}:")
-        emit_dispatch(lo, mid, depth + 1)
-        emit(depth, "else:")
-        emit_dispatch(mid, hi, depth + 1)
-
-    emit_dispatch(0, 2 * nsegs, 0)
-
-    # -- assemble ----------------------------------------------------------
-    src = ["def _make(process, pages, RU, WU, FV, MQ, UPK, PCS, OFF, COFF,"
-           " SEGCP, CpuFault, SegmentationFault):",
-           "    PAGES_GET = pages.get"]
-    for j in range(nsegs):
-        src.append(f"    CP{j} = SEGCP[{j}]")
-    for cell in sites:
-        cold = _COLD_PAGE if cell[0] == "p" else None
-        src.append(f"    {cell} = {cold}")
-    src.append("    VL = 1")
-    src.append("    VH = 0")
-    src.append("    def run(thread, regs, budget, L=0, K=0):")
-    if sites:
-        src.append("        nonlocal " + ", ".join(sites + ["VL", "VH"]))
-    for idx in used:
-        src.append(f"        r{idx} = regs[{idx}] & {_U64M}")
-    src.append("        f = thread.flags")
-    if uses_tp:
-        src.append("        tp = thread.tp")
-    src.append("        n = 0")
-    src.append("        c = 0")
-    src.append("        i = 0")
-    src.append("        try:")
-    src.append("            while 1:")
-    for depth, text in body:
-        src.append("                " + "    " * depth + text)
-    src.append("        except CpuFault:")
-    src.append("            raise")        # div: accounted + spilled inline
-    if sites:
-        handlers = (
-            ("        except SegmentationFault as exc:",
-             "            raise CpuFault(thread, str(exc)) from exc"),
-            ("        except Exception:",  # e.g. a dead lazy-page server
-             "            raise"),
-        )
-        for opener, reraise in handlers:
-            src.append(opener)
-            src.append("            thread.pc = PCS[i]")
-            for idx in spilled:
-                src.append(f"            regs[{idx}] = "
-                           f"r{idx} - {_TWO64} if r{idx} >> 63 else r{idx}")
-            src.append("            thread.flags = (f > 0) - (f < 0)")
-            src.append("            k = n + OFF[i]")
-            src.append("            thread.instr_count += k")
-            src.append("            process.instr_total += k")
-            src.append("            process.cycle_total += c + COFF[i]")
-            src.append(reraise)
-    src.append("        thread.pc = pc")
-    for idx in spilled:
-        src.append(f"        regs[{idx}] = "
-                   f"r{idx} - {_TWO64} if r{idx} >> 63 else r{idx}")
-    src.append("        thread.flags = (f > 0) - (f < 0)")
-    src.append("        thread.instr_count += n")
-    src.append("        process.instr_total += n")
-    src.append("        process.cycle_total += c")
-    src.append("        return n")
-    src.append("    return run")
-    segcp = tuple(tuple(blk.cost_prefix) for blk in segs)
-    return "\n".join(src), (tuple(fpcs), tuple(foff), tuple(fcoff), segcp)
+    """Chain-compiler statistics: always zero."""
+    return {"built": 0, "bound": 0, "factories": 0}

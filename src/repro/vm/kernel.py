@@ -45,16 +45,15 @@ class Process:
         self.cycle_total = 0
         self.decode_cache: Dict[int, tuple] = {}
         self.block_cache: Dict[int, "blocks.Block"] = {}
-        # Mid-trace resume points into compiled tier-3 chains:
-        # pc -> (chain run, metered label, op index). Cleared together
-        # with block_cache — a stale entry could skip dirty-tracking's
-        # first-touch writes or execute pre-rewrite code.
-        self.chain_entries: Dict[int, tuple] = {}
+        # Mid-trace resume map: every interior pc of a compiled trace
+        # -> (block, op index). A quantum boundary that parked inside
+        # a compiled trace (or a branch into its middle) resumes there
+        # through the block's metered variant instead of compiling a
+        # duplicate trace. Cleared together with block_cache — a stale
+        # entry could skip dirty-tracking's first-touch writes or
+        # execute pre-rewrite code.
+        self.resume_entries: Dict[int, tuple] = {}
         self.code_version = 0
-        # Bumped whenever a block tiers up to a compiled trace; tier-3
-        # chains stamped with an older epoch relink on next dispatch so
-        # webs formed mid-warmup grow to cover newly-hot successors.
-        self.hot_epoch = 0
         # Content hash of the executable pages, computed lazily by the
         # superblock engine to share decoded traces across processes
         # running identical code (see blocks._content_key).
@@ -86,7 +85,7 @@ class Process:
         self.code_version += 1
         self.decode_cache.clear()
         self.block_cache.clear()
-        self.chain_entries.clear()
+        self.resume_entries.clear()
 
     # -- dirty-page tracking (incremental checkpoints) ----------------------
 
@@ -103,7 +102,7 @@ class Process:
         """
         self.aspace.start_dirty_tracking()
         self.block_cache.clear()
-        self.chain_entries.clear()
+        self.resume_entries.clear()
 
     def stop_dirty_tracking(self) -> None:
         self.aspace.stop_dirty_tracking()
@@ -112,7 +111,7 @@ class Process:
         """Dirty pages since tracking started; begins a fresh epoch."""
         dirty = self.aspace.harvest_dirty()
         self.block_cache.clear()
-        self.chain_entries.clear()
+        self.resume_entries.clear()
         return dirty
 
     def tls_disable_addr(self, thread: ThreadContext) -> int:
@@ -128,7 +127,7 @@ class Machine:
     """One simulated node: an ISA, a kernel, a tmpfs, and processes."""
 
     def __init__(self, isa, name: str = "node", quantum: int = 64,
-                 block_engine: bool = True, chain_engine: bool = True):
+                 block_engine: bool = True):
         self.isa = isa
         self.name = name
         self.quantum = quantum
@@ -136,10 +135,6 @@ class Machine:
         #: falls back to per-instruction interp.step — semantics are
         #: identical, this exists for the speed benchmark and debugging.
         self.block_engine = block_engine
-        #: additionally link hot compiled traces into chains
-        #: (repro.vm.chains, tier 3); False caps execution at tier 2.
-        #: Only consulted when block_engine is on; semantics identical.
-        self.chain_engine = chain_engine
         self.tmpfs = TmpFs()
         self.processes: Dict[int, Process] = {}
         self.next_pid = 100

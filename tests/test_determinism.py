@@ -84,9 +84,8 @@ class TestEventQueueFifo:
 
 
 class TestSchedulerDeterminism:
-    def _trace(self, engine, chains=False):
-        machine = Machine(X86_ISA, block_engine=engine,
-                          chain_engine=chains)
+    def _trace(self, engine, quantum=64):
+        machine = Machine(X86_ISA, block_engine=engine, quantum=quantum)
         from repro.compiler import compile_source
         program = compile_source(THREE_THREADS, "threads")
         machine.tmpfs.write("/bin/t", program.binary("x86_64").to_bytes())
@@ -114,13 +113,17 @@ class TestSchedulerDeterminism:
         assert blocks_order == interp_order
         assert blocks_out == interp_out
 
-    def test_round_robin_order_matches_under_chains(self):
-        """Tier-3 chains retire whole multi-block stretches per call;
-        the slice stream handed to the scheduler must not change."""
-        chains_order, chains_out = self._trace(engine=True, chains=True)
-        interp_order, interp_out = self._trace(engine=False)
-        assert chains_order == interp_order
-        assert chains_out == interp_out
+    def test_round_robin_order_matches_under_chains(self, monkeypatch):
+        """At an odd quantum nearly every slice parks mid-trace and the
+        next one resumes inside the compiled trace (the job tier-3
+        chains once did); the slice stream handed to the scheduler
+        must not change."""
+        from repro.vm import blocks
+        monkeypatch.setattr(blocks, "HOT_THRESHOLD", 0)
+        resumed_order, resumed_out = self._trace(engine=True, quantum=13)
+        interp_order, interp_out = self._trace(engine=False, quantum=13)
+        assert resumed_order == interp_order
+        assert resumed_out == interp_out
 
 
 class TestRngService:

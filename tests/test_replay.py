@@ -14,6 +14,7 @@ from repro.replay import (BitFlip, FlightRecorder, Journal, Replayer,
                           pinpoint_divergence, record_migrate,
                           record_rerandomize, record_run)
 from repro.replay import journal as jn
+from repro.replay.engine import ENGINES
 from repro.tools import replay as replay_cli
 from repro.vm import Machine
 
@@ -107,18 +108,40 @@ class TestRecordReplay:
             == loop_recording.journal.digest_stream()
 
     def test_cross_tier_matrix_bit_identical(self, loop_recording):
-        """All three execution tiers are interchangeable under the
-        flight recorder: a journal recorded under any one of them
-        replays bit-identically under every other."""
-        chain_rec = record_run(LOOP_SOURCE, "loop", engine="chains")
-        assert chain_rec.journal.digest_stream() \
+        """Both execution tiers are interchangeable under the flight
+        recorder: a journal recorded under either one replays
+        bit-identically under the other."""
+        interp_rec = record_run(LOOP_SOURCE, "loop", engine="interp")
+        assert interp_rec.journal.digest_stream() \
             == loop_recording.journal.digest_stream()
-        for engine in ("interp", "blocks", "chains"):
-            replayed = Replayer(chain_rec.journal, engine=engine).run()
+        for recorded in (interp_rec, loop_recording):
+            for engine in ENGINES:
+                replayed = Replayer(recorded.journal, engine=engine).run()
+                assert replayed.journal.digest_stream() \
+                    == recorded.journal.digest_stream()
+                assert replayed.journal.sched_stream() \
+                    == recorded.journal.sched_stream()
+
+    def test_legacy_chains_journal_replays_on_tier2(self, loop_recording):
+        """Journals recorded before tier 3 was retired name engine
+        ``chains``. Digests are tier-independent, so such a journal
+        must still load and replay bit-identically (on tier 2), while
+        new recordings and overrides reject the retired name."""
+        header = dict(loop_recording.journal.header, engine="chains")
+        legacy = Journal(header)
+        legacy.events = list(loop_recording.journal.events)
+        legacy = Journal.from_bytes(legacy.to_bytes())
+        assert legacy.header["engine"] == "chains"
+        for engine in (None,) + ENGINES:
+            replayed = Replayer(legacy, engine=engine).run()
             assert replayed.journal.digest_stream() \
-                == chain_rec.journal.digest_stream()
+                == legacy.digest_stream()
             assert replayed.journal.sched_stream() \
-                == chain_rec.journal.sched_stream()
+                == legacy.sched_stream()
+        with pytest.raises(JournalError):
+            record_run(LOOP_SOURCE, "loop", engine="chains")
+        with pytest.raises(JournalError):
+            Replayer(legacy, engine="chains")
 
     def test_unknown_engine_rejected(self, loop_recording):
         with pytest.raises(JournalError):
@@ -235,9 +258,9 @@ class TestFaultInjection:
         the perturbed execution digest-for-digest."""
         program = compile_source(SENTINEL_SOURCE, "faulty")
         addr = program.binary("x86_64").symtab.address_of("sentinel")
-        bad = record_run(SENTINEL_SOURCE, "faulty", engine="chains",
+        bad = record_run(SENTINEL_SOURCE, "faulty",
                          fault=BitFlip(at_slice=40, addr=addr, bit=3))
-        for engine in ("interp", "blocks", "chains"):
+        for engine in ENGINES:
             replayed = Replayer(bad.journal, engine=engine).run()
             assert replayed.journal.digest_stream() \
                 == bad.journal.digest_stream()

@@ -492,3 +492,137 @@ class TestNetworkLinks:
         network.connect("a", "b", infiniband_link())  # idempotent
         with pytest.raises(ClusterError):
             network.connect("a", "b", ethernet_link())
+
+
+class _WholeBytesDisk:
+    """Reference crash model: every pending file is held as its whole
+    would-be contents, so an append copies the file. ``SimDisk`` keeps
+    appends to durable files as separate tails and must tear exactly
+    like this."""
+
+    def __init__(self, seed):
+        import random
+        self._durable, self._pending = {}, {}
+        self._rng = random.Random(seed)
+
+    def _view(self, name):
+        if name in self._pending:
+            return self._pending[name]
+        return self._durable.get(name)
+
+    def write(self, name, data):
+        self._pending[name] = bytes(data)
+
+    def append(self, name, data):
+        current = self._view(name)
+        if current is None:
+            raise StoreError(name)
+        self._pending[name] = current + bytes(data)
+
+    def fsync(self, name):
+        if name in self._pending:
+            self._durable[name] = self._pending.pop(name)
+
+    def rename(self, src, dst):
+        if src in self._pending:
+            self._pending[dst] = self._pending.pop(src)
+            self._durable.pop(dst, None)
+        elif src in self._durable:
+            self._durable[dst] = self._durable.pop(src)
+            self._pending.pop(dst, None)
+        else:
+            raise StoreError(src)
+
+    def unlink(self, name):
+        self._pending.pop(name, None)
+        self._durable.pop(name, None)
+
+    def exists(self, name):
+        return self._view(name) is not None
+
+    def read(self, name):
+        data = self._view(name)
+        if data is None:
+            raise StoreError(name)
+        return data
+
+    def listdir(self, prefix):
+        names = set(self._durable) | set(self._pending)
+        return sorted(n for n in names if n.startswith(prefix))
+
+    def crash(self):
+        damaged = []
+        for name in sorted(self._pending):
+            pending = self._pending[name]
+            base = self._durable.get(name, b"")
+            new = pending[len(base):] if pending.startswith(base) else pending
+            keep = self._rng.randrange(len(new) + 1) if new else 0
+            torn = (base if pending.startswith(base) else b"") + new[:keep]
+            if torn:
+                self._durable[name] = torn
+            else:
+                self._durable.pop(name, None)
+            damaged.append(name)
+        self._pending.clear()
+        return damaged
+
+
+class TestSimDiskCrashModel:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tears_exactly_like_whole_bytes_model(self, seed):
+        """A seeded mix of writes, appends, fsyncs, renames, unlinks,
+        clones and crashes must leave the tail-based disk and the
+        whole-bytes reference in identical states after every op."""
+        import random
+        from repro.store import SimDisk
+        ops = random.Random(1000 + seed)
+        disk, ref = SimDisk(seed=seed), _WholeBytesDisk(seed)
+        names = ["wal", "a", "b", "tmp/c"]
+
+        def blob():
+            # Sometimes a write that extends the durable bytes, so the
+            # crash model's prefix branch is exercised from write() too.
+            if ops.random() < 0.2:
+                name = ops.choice(names)
+                return ref._durable.get(name, b"") + b"x" * ops.randrange(4)
+            return bytes(ops.randrange(256)
+                         for _ in range(ops.randrange(6)))
+
+        for step in range(400):
+            op = ops.choice(["write", "append", "append", "append",
+                             "fsync", "fsync", "rename", "unlink",
+                             "crash", "clone"])
+            name, other = ops.choice(names), ops.choice(names)
+            if op in ("write", "append"):
+                data = blob()
+                outcomes = []
+                for target in (disk, ref):
+                    try:
+                        getattr(target, op)(name, data)
+                        outcomes.append(None)
+                    except StoreError:
+                        outcomes.append("error")
+                assert outcomes[0] == outcomes[1]
+            elif op == "rename":
+                outcomes = []
+                for target in (disk, ref):
+                    try:
+                        target.rename(name, other)
+                        outcomes.append(None)
+                    except StoreError:
+                        outcomes.append("error")
+                assert outcomes[0] == outcomes[1]
+            elif op == "crash":
+                assert disk.crash() == ref.crash(), step
+            elif op == "clone":
+                disk = disk.clone()
+            else:
+                getattr(disk, op)(name)
+                getattr(ref, op)(name)
+            assert disk.listdir("") == ref.listdir("")
+            for n in names:
+                assert disk.exists(n) == ref.exists(n)
+                if ref.exists(n):
+                    assert disk.read(n) == ref.read(n)
+            assert {k: bytes(v) for k, v in disk._durable.items()} \
+                == ref._durable, step
