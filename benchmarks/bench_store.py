@@ -111,7 +111,7 @@ def durability(program) -> dict:
     for a dir-backend store holding the epoch chain."""
     import time
 
-    from repro.chaos import sweep as crash_sweep
+    from repro.chaos import CrashPoints, sweep
     from repro.core.migration import exe_path_for, install_program
     from repro.criu.dump import dump_process
     from repro.store import DirBackend, SimDisk
@@ -151,9 +151,10 @@ def durability(program) -> dict:
         raise SystemExit(f"scrub found corruption on a healthy "
                          f"store: {scrubbed.corrupt}")
 
-    swept = crash_sweep(lambda s: None,
-                        lambda s, ctx: s.put(first_images),
-                        label="put", seed=0, atomic=True)
+    points = CrashPoints(lambda s: None,
+                         lambda s, ctx: s.put(first_images),
+                         seed=0, atomic=True)
+    swept = sweep.run("put", range(len(points.sites)), points.run_trial)
     return {
         "checkpoints": len(recovered.checkpoint_ids()),
         "chunks": len(recovered.chunks),
@@ -161,7 +162,7 @@ def durability(program) -> dict:
         "scrub_chunks": scrubbed.scanned,
         "scrub_mb_per_s": round(
             scrubbed.logical_bytes / elapsed / 1e6, 2),
-        "crash_sites": len(swept.sites),
+        "crash_sites": len(swept.trials),
         "crash_sweep_ok": swept.ok,
     }
 

@@ -6,17 +6,18 @@ A :class:`FaultPlan` says *what can go wrong and how often*; a
 — with a flight recorder attached — replay bit-identically from their
 own journals.
 
-The crash-point engine (:mod:`repro.chaos.crashpoints`) is the
-exhaustive counterpart: instead of rolling dice it enumerates every
-durability site the checkpoint store's backend touches and kills the
-store at each one, reopening the survivors and asserting the
-crash-consistency invariants.
+Every systematic check — seeded chaos trials
+(:mod:`~repro.chaos.harness`), group-protocol phases
+(:mod:`repro.group.chaos`) and store crash points
+(:mod:`~repro.chaos.crashpoints`) — runs on one kernel,
+:mod:`repro.chaos.sweep`, with one whole-journal replay judge.
 """
 
-from .crashpoints import (CrashPointInjector, SweepResult, SweepTrial,
-                          sweep)
+from .crashpoints import CrashPointInjector, CrashPoints
 from .faults import BP, KINDS, FaultPlan
 from .injector import FaultInjector, FiredFault
+from .sweep import Sweep, Trial, replay_judge
 
 __all__ = ["BP", "KINDS", "FaultPlan", "FaultInjector", "FiredFault",
-           "CrashPointInjector", "SweepResult", "SweepTrial", "sweep"]
+           "CrashPointInjector", "CrashPoints", "Sweep", "Trial",
+           "replay_judge"]

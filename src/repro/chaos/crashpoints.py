@@ -7,15 +7,16 @@ append and its fsync (the torn window between intent and apply), each
 GC unlink, each compaction step — is numbered in execution order, and
 the sweep kills the store at **every one of them**, once each:
 
-1. a *counting pass* runs the operation cleanly over an instrumented
-   backend, enumerating its durability sites and capturing the
-   operation's completed end state;
-2. one *trial per site* re-runs the operation on a fresh clone of the
-   baseline simulated disk with a :class:`CrashPointInjector` armed at
-   that site: the injector raises :class:`~repro.errors.StoreCrash`
-   (sudden death — no rollback path may catch it), the
-   :class:`~repro.store.SimDisk` tears its unsynced writes at seeded
-   offsets, and the harness reopens the survivors with
+1. a *counting pass* (:class:`CrashPoints`) runs the operation cleanly
+   over an instrumented backend, enumerating its durability sites and
+   capturing the operation's completed end state;
+2. one *trial per site* (:meth:`CrashPoints.run_trial`, driven by
+   :func:`repro.chaos.sweep.run`) re-runs the operation on a fresh
+   clone of the baseline simulated disk with a
+   :class:`CrashPointInjector` armed at that site: the injector raises
+   :class:`~repro.errors.StoreCrash` (sudden death — no rollback path
+   may catch it), the :class:`~repro.store.SimDisk` tears its unsynced
+   writes at seeded offsets, and the survivors are reopened with
    :meth:`~repro.store.CheckpointStore.recover`;
 3. each reopened store is held to the crash-consistency invariants:
    fsck clean, refcount books balanced, committed checkpoints
@@ -34,6 +35,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import StoreCrash
 from ..store import CheckpointStore, DirBackend, SimDisk
+from .sweep import Trial
 
 
 class CrashPointInjector:
@@ -66,50 +68,6 @@ class CrashPointInjector:
                 site=label, index=index)
 
 
-class SweepTrial:
-    """One site's crash + recovery, and how it was judged."""
-
-    __slots__ = ("index", "site", "report", "recovered_ids", "problems")
-
-    def __init__(self, index: int, site: str, report, recovered_ids,
-                 problems):
-        self.index = index
-        self.site = site
-        self.report = report
-        self.recovered_ids = list(recovered_ids)
-        self.problems = list(problems)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __repr__(self) -> str:
-        verdict = "ok" if self.ok else f"FAIL({len(self.problems)})"
-        return f"<SweepTrial #{self.index} {self.site} {verdict}>"
-
-
-class SweepResult:
-    """The whole matrix row: every site of one operation, judged."""
-
-    def __init__(self, label: str, sites: List[str],
-                 trials: List[SweepTrial]):
-        self.label = label
-        self.sites = list(sites)
-        self.trials = trials
-
-    @property
-    def ok(self) -> bool:
-        return all(t.ok for t in self.trials)
-
-    def failures(self) -> List[SweepTrial]:
-        return [t for t in self.trials if not t.ok]
-
-    def __repr__(self) -> str:
-        verdict = "ok" if self.ok else f"{len(self.failures())} FAILED"
-        return (f"<SweepResult {self.label}: {len(self.trials)} sites "
-                f"{verdict}>")
-
-
 def _capture(store: CheckpointStore) -> Dict[str, Dict[str, bytes]]:
     """Byte-level snapshot of every materializable checkpoint."""
     out: Dict[str, Dict[str, bytes]] = {}
@@ -120,61 +78,66 @@ def _capture(store: CheckpointStore) -> Dict[str, Dict[str, bytes]]:
     return out
 
 
-def sweep(setup: Callable[[CheckpointStore], object],
-          op: Callable[[CheckpointStore, object], object],
-          label: str = "op", seed: int = 0, atomic: bool = False,
-          recorder_factory: Optional[Callable[[], object]] = None
-          ) -> SweepResult:
-    """Kill ``op`` at every durability site and judge each recovery.
+def _reopen(disk: SimDisk, crash_at: Optional[int] = None,
+            recorder=None):
+    backend = DirBackend(disk)
+    store, _report = CheckpointStore.recover(backend)
+    # Arm only after recovery: recovery's own unlinks/compaction are
+    # not part of the operation's site enumeration.
+    injector = CrashPointInjector(crash_at=crash_at, recorder=recorder)
+    backend.injector = injector
+    return store, injector
+
+
+class CrashPoints:
+    """The site source and judge for one store operation.
 
     ``setup(store)`` builds the committed baseline on a fresh durable
     store and returns a context object; ``op(store, ctx)`` is the
     mutation under test, re-run once per site on a recovered store over
-    a clone of the baseline disk. ``atomic=True`` additionally requires
-    all-or-nothing visibility: the recovered checkpoint set must equal
-    either the baseline set or the completed set, never a mix (puts,
-    group commits and deletes are atomic; a chain adopt may legally
-    surface a prefix of the chain).
+    a clone of the baseline disk. Construction is the counting pass:
+    :attr:`sites` lists the operation's durability sites in order, and
+    ``run_trial(i)`` kills the operation at site ``i``. ``atomic=True``
+    additionally requires all-or-nothing visibility: the recovered
+    checkpoint set must equal either the baseline set or the completed
+    set, never a mix (puts, group commits and deletes are atomic; a
+    chain adopt may legally surface a prefix of the chain).
 
     ``recorder_factory`` (e.g. ``FlightRecorder``) gives each trial's
     recovery its own recorder, so tests can prove two identically-seeded
     sweeps journal their ``EV_RECOVER`` events bit-identically.
     """
-    # -- baseline ----------------------------------------------------------
-    base_disk = SimDisk(seed=seed)
-    base_store = CheckpointStore(backend=DirBackend(base_disk))
-    ctx = setup(base_store)
-    baseline_ids = set(base_store.checkpoint_ids())
-    baseline_capture = _capture(base_store)
 
-    def _reopen(disk: SimDisk, crash_at: Optional[int] = None,
-                recorder=None):
-        backend = DirBackend(disk)
-        store, _report = CheckpointStore.recover(backend)
-        # Arm only after recovery: recovery's own unlinks/compaction
-        # are not part of the operation's site enumeration.
-        injector = CrashPointInjector(crash_at=crash_at,
-                                      recorder=recorder)
-        backend.injector = injector
-        return store, injector
+    def __init__(self, setup: Callable[[CheckpointStore], object],
+                 op: Callable[[CheckpointStore, object], object],
+                 seed: int = 0, atomic: bool = False,
+                 recorder_factory: Optional[Callable[[], object]] = None):
+        self.op = op
+        self.atomic = atomic
+        self.recorder_factory = recorder_factory
+        self.base_disk = SimDisk(seed=seed)
+        base_store = CheckpointStore(backend=DirBackend(self.base_disk))
+        self.ctx = setup(base_store)
+        self.baseline_ids = set(base_store.checkpoint_ids())
+        self.baseline_capture = _capture(base_store)
+        count_store, counter = _reopen(self.base_disk.clone())
+        op(count_store, self.ctx)
+        #: durability-site labels in execution order
+        self.sites: List[str] = list(counter.sites)
+        self.after_ids = set(count_store.checkpoint_ids())
+        self.after_capture = _capture(count_store)
 
-    # -- counting pass -----------------------------------------------------
-    count_store, counter = _reopen(base_disk.clone())
-    op(count_store, ctx)
-    sites = list(counter.sites)
-    after_ids = set(count_store.checkpoint_ids())
-    after_capture = _capture(count_store)
-
-    # -- one trial per site ------------------------------------------------
-    trials: List[SweepTrial] = []
-    for index, site in enumerate(sites):
-        recorder = recorder_factory() if recorder_factory else None
-        disk = base_disk.clone()
-        store, injector = _reopen(disk, crash_at=index,
-                                  recorder=recorder)
+    def run_trial(self, index: int) -> Trial:
+        """Crash the operation at site ``index`` and judge recovery."""
+        site = self.sites[index]
+        recorder = self.recorder_factory() if self.recorder_factory \
+            else None
+        disk = self.base_disk.clone()
+        store, _injector = _reopen(disk, crash_at=index,
+                                   recorder=recorder)
         crashed = False
         try:
-            op(store, ctx)
+            self.op(store, self.ctx)
         except StoreCrash:
             crashed = True
         problems: List[str] = []
@@ -183,12 +146,9 @@ def sweep(setup: Callable[[CheckpointStore], object],
         # Sudden death: the in-memory store is gone; the simulated disk
         # tears its unsynced writes and the survivors are reopened.
         disk.crash()
-        backend = DirBackend(disk)
-        recovered, report = CheckpointStore.recover(backend,
+        recovered, report = CheckpointStore.recover(DirBackend(disk),
                                                     recorder=recorder)
-        problems.extend(_judge(recovered, report, baseline_ids,
-                               after_ids, baseline_capture,
-                               after_capture, atomic))
+        problems.extend(self._judge(recovered, report))
         # Idempotency: recovering the recovered disk changes nothing.
         again, again_report = CheckpointStore.recover(DirBackend(disk))
         if set(again.checkpoint_ids()) != set(recovered.checkpoint_ids()):
@@ -197,51 +157,49 @@ def sweep(setup: Callable[[CheckpointStore], object],
         if not again_report.clean:
             problems.append("second recovery not clean: "
                             + "; ".join(again_report.fsck))
-        trials.append(SweepTrial(index, site, report,
-                                 recovered.checkpoint_ids(), problems))
-    return SweepResult(label, sites, trials)
+        return Trial(f"#{index} {site}",
+                     "recovered" if crashed else "ran-through", problems)
 
-
-def _judge(store: CheckpointStore, report, baseline_ids, after_ids,
-           baseline_capture, after_capture, atomic: bool) -> List[str]:
-    """The crash-consistency invariants, as problem strings."""
-    problems: List[str] = []
-    if not report.clean:
-        problems.extend(f"fsck: {p}" for p in report.fsck)
-    recovered = set(store.checkpoint_ids())
-    added = after_ids - baseline_ids
-    removed = baseline_ids - after_ids
-    # Committed-prefix visibility: nothing outside baseline ∪ op's own
-    # additions may appear, nothing outside the op's own removals may
-    # vanish — uncommitted state is fully absent, committed state is
-    # fully present.
-    floor = baseline_ids - removed
-    ceiling = baseline_ids | added
-    if not floor <= recovered:
-        missing = sorted(c[:12] for c in floor - recovered)
-        problems.append(f"committed checkpoints lost: {missing}")
-    if not recovered <= ceiling:
-        extra = sorted(c[:12] for c in recovered - ceiling)
-        problems.append(f"phantom checkpoints appeared: {extra}")
-    if atomic and recovered not in (baseline_ids, after_ids):
-        problems.append(
-            f"non-atomic visibility: recovered set matches neither "
-            f"baseline nor completed state "
-            f"(+{sorted(c[:12] for c in recovered - baseline_ids)} "
-            f"-{sorted(c[:12] for c in baseline_ids - recovered)})")
-    # Byte identity of everything that survived.
-    expected = dict(baseline_capture)
-    expected.update(after_capture)
-    for cid in sorted(recovered):
-        if store.is_group(cid):
-            continue
-        try:
-            files = dict(store.materialize(cid).files)
-        except Exception as exc:  # noqa: BLE001 — judged, not raised
-            problems.append(f"checkpoint {cid[:12]} does not "
-                            f"materialize: {exc}")
-            continue
-        if cid in expected and files != expected[cid]:
-            problems.append(f"checkpoint {cid[:12]} materializes "
-                            f"differently after recovery")
-    return problems
+    def _judge(self, store: CheckpointStore, report) -> List[str]:
+        """The crash-consistency invariants, as problem strings."""
+        problems: List[str] = []
+        if not report.clean:
+            problems.extend(f"fsck: {p}" for p in report.fsck)
+        baseline_ids, after_ids = self.baseline_ids, self.after_ids
+        recovered = set(store.checkpoint_ids())
+        added = after_ids - baseline_ids
+        removed = baseline_ids - after_ids
+        # Committed-prefix visibility: nothing outside baseline ∪ op's
+        # own additions may appear, nothing outside the op's own
+        # removals may vanish — uncommitted state is fully absent,
+        # committed state is fully present.
+        floor = baseline_ids - removed
+        ceiling = baseline_ids | added
+        if not floor <= recovered:
+            missing = sorted(c[:12] for c in floor - recovered)
+            problems.append(f"committed checkpoints lost: {missing}")
+        if not recovered <= ceiling:
+            extra = sorted(c[:12] for c in recovered - ceiling)
+            problems.append(f"phantom checkpoints appeared: {extra}")
+        if self.atomic and recovered not in (baseline_ids, after_ids):
+            problems.append(
+                f"non-atomic visibility: recovered set matches neither "
+                f"baseline nor completed state "
+                f"(+{sorted(c[:12] for c in recovered - baseline_ids)} "
+                f"-{sorted(c[:12] for c in baseline_ids - recovered)})")
+        # Byte identity of everything that survived.
+        expected = dict(self.baseline_capture)
+        expected.update(self.after_capture)
+        for cid in sorted(recovered):
+            if store.is_group(cid):
+                continue
+            try:
+                files = dict(store.materialize(cid).files)
+            except Exception as exc:  # noqa: BLE001 — judged, not raised
+                problems.append(f"checkpoint {cid[:12]} does not "
+                                f"materialize: {exc}")
+                continue
+            if cid in expected and files != expected[cid]:
+                problems.append(f"checkpoint {cid[:12]} materializes "
+                                f"differently after recovery")
+        return problems

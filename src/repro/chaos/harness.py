@@ -16,8 +16,10 @@ one of two states:
   the reference output.
 
 Anything else — a half-migrated process, divergent output, leaked
-destination state — fails the trial. ``tools/chaos.py`` drives this
-over many seeds; ``tests/test_chaos.py`` pins specific ones.
+destination state — fails the trial. The sites are seeds:
+``tools/chaos.py`` runs one :class:`~repro.chaos.sweep.Trial` per seed
+through :func:`repro.chaos.sweep.run`; ``tests/test_chaos.py`` pins
+specific ones.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ..verify import Quarantine
 from ..vm.kernel import Machine, Process
 from .faults import FaultPlan
 from .injector import FaultInjector
+from .sweep import Trial
 
 
 def settle_lazy_pages(process: Process, page_server) -> None:
@@ -74,54 +77,20 @@ def memory_digest(process: Process) -> str:
         aspace.missing_page_hook = hook
 
 
-class TrialResult:
-    """One seeded chaos trial's verdict."""
-
-    __slots__ = ("seed", "outcome", "ok", "detail", "faults", "attempts",
-                 "fallback", "repaired_pages", "quarantined")
-
-    def __init__(self, seed: int, outcome: str, ok: bool, detail: str,
-                 faults: Dict[str, int], attempts: Dict[str, int],
-                 fallback: bool, repaired_pages: int = 0,
-                 quarantined: bool = False):
-        self.seed = seed
-        #: "completed" | "rolled-back"
-        self.outcome = outcome
-        #: did the complete-or-rollback invariant hold?
-        self.ok = ok
-        self.detail = detail
-        self.faults = dict(faults)
-        self.attempts = dict(attempts)
-        self.fallback = fallback
-        #: pages the restore guard auto-repaired before restoring
-        self.repaired_pages = repaired_pages
-        #: did the restore guard quarantine an unrepairable image?
-        self.quarantined = quarantined
-
-    def __repr__(self) -> str:
-        mark = "ok" if self.ok else "FAIL"
-        return (f"<Trial seed={self.seed} {self.outcome} [{mark}] "
-                f"faults={self.faults}>")
-
-
 class ChaosHarness:
     def __init__(self, app: str = "kmeans", *, lazy: bool = False,
                  use_store: bool = False, warmup: int = 5000,
-                 retry_budget: int = 3, size: str = "small",
-                 src_arch: str = "x86_64", dst_arch: str = "aarch64",
-                 verify_gate: bool = False):
+                 retry_budget: int = 3, verify_gate: bool = False):
         self.app = app
         self.lazy = lazy
         self.use_store = use_store
         self.warmup = warmup
         self.retry_budget = retry_budget
-        self.src_arch = src_arch
-        self.dst_arch = dst_arch
         # verify-gate mode: disable the transfer stage's own arrival
         # digest check so injected corruption provably reaches — and is
         # judged by — the restore guard instead of being re-copied.
         self.verify_gate = verify_gate
-        self.program = get_app(app).compile(size)
+        self.program = get_app(app).compile("small")
         # The oracle: one fault-free migration of the same shape.
         result, pipeline = self._migrate(None)
         settle_lazy_pages(result.process, result.page_server)
@@ -131,8 +100,8 @@ class ChaosHarness:
     def _pipeline(self, injector: Optional[FaultInjector]
                   ) -> MigrationPipeline:
         return MigrationPipeline(
-            Machine(get_isa(self.src_arch), name="src"),
-            Machine(get_isa(self.dst_arch), name="dst"),
+            Machine(get_isa("x86_64"), name="src"),
+            Machine(get_isa("aarch64"), name="dst"),
             self.program, use_store=self.use_store, injector=injector,
             retry_budget=self.retry_budget,
             arrival_check=not self.verify_gate)
@@ -145,8 +114,11 @@ class ChaosHarness:
 
     # -- one trial ---------------------------------------------------------
 
-    def run_trial(self, plan: FaultPlan) -> TrialResult:
-        """Run one seeded trial and audit the invariant."""
+    def run_trial(self, plan: FaultPlan) -> Trial:
+        """One seeded trial (site ``seed=<n>``), judged
+        complete-or-rollback. Its ``info`` holds whether the
+        transaction fell back to pre-copy (``fallback``) and how many
+        pages the restore guard repaired (``repaired_pages``)."""
         injector = FaultInjector(plan)
         pipeline = self._pipeline(injector)
         process = pipeline.start()
@@ -158,7 +130,6 @@ class ChaosHarness:
         except MigrationRollback as exc:
             outcome = "rolled-back"
             txn = dict(exc.txn)
-            attempts = dict(txn.get("attempts", {}))
             fallback = False
             problems += self._audit_rollback(pipeline, process)
         else:
@@ -168,19 +139,16 @@ class ChaosHarness:
             # to exit: the pre-copy fallback fires (and marks the txn)
             # at fault-in time, mid-execution.
             txn = result.stats.get("txn", {})
-            attempts = dict(txn.get("attempts", {}))
             fallback = bool(txn.get("fallback"))
             repaired_pages = result.stats.get("verify", {}).get(
                 "repaired_pages", 0)
             problems += self._audit_completed(pipeline, process, result)
         faults = injector.counts()
-        quarantined = faults.get("quarantine", 0) > 0
         problems += self._audit_corrupt_caught(outcome, txn, faults,
                                                pipeline, repaired_pages)
-        return TrialResult(plan.seed, outcome, not problems,
-                           "; ".join(problems), faults, attempts, fallback,
-                           repaired_pages=repaired_pages,
-                           quarantined=quarantined)
+        return Trial(f"seed={plan.seed}", outcome, problems, faults,
+                     {"fallback": fallback,
+                      "repaired_pages": repaired_pages})
 
     def _audit_completed(self, pipeline: MigrationPipeline,
                          source: Process, result) -> list:
@@ -266,11 +234,3 @@ class ChaosHarness:
                 f"{fired} corrupt fault(s) fired with no catch evidence "
                 f"(undefined-behavior escape past the restore guard)")
         return problems
-
-    # -- many trials -------------------------------------------------------
-
-    def run_trials(self, nseeds: int, seed0: int = 0,
-                   **probabilities) -> list:
-        """One trial per seed in ``[seed0, seed0 + nseeds)``."""
-        return [self.run_trial(FaultPlan(seed, **probabilities))
-                for seed in range(seed0, seed0 + nseeds)]

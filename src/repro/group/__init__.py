@@ -10,11 +10,13 @@ commit is a single atomic chunk registration. Any failure at any phase
 aborts cleanly — prepared images swept, orphan chunks GC'd, every
 member resumed at the cut. :func:`restore_group` restores a committed
 manifest, recoding members whose placements sit on a different ISA,
-and :class:`GroupChaosHarness` sweeps seeded faults across every
-protocol phase asserting commit-or-resume.
+and :class:`GroupChaosHarness` judges commit-or-resume for each site
+of :func:`~repro.group.chaos.sites` (a forced fault per protocol
+phase, the control, seeds) on the shared :mod:`repro.chaos.sweep`
+kernel.
 """
 
-from .chaos import GroupChaosHarness, GroupTrial
+from .chaos import GroupChaosHarness
 from .coordinator import PHASES, GroupCoordinator, GroupResult
 from .migrate import restore_group, split_placements
 from .service import ConnectionBroker, GroupMember, ServiceGroup
@@ -29,7 +31,6 @@ __all__ = [
     "GroupMember",
     "GroupResult",
     "GroupSpec",
-    "GroupTrial",
     "ServiceGroup",
     "restore_group",
     "split_placements",

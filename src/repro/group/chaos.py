@@ -2,11 +2,12 @@
 
 One :class:`GroupChaosHarness` owns a fault-free *reference* run of a
 group migration (its per-member outputs and the committed broker state
-are the oracle) and runs faulted trials against it — either a forced
-deterministic fault at a named protocol phase (the sweep the CI
-``group-smoke`` job runs) or seeded probabilistic chaos through the
-shared :class:`~repro.chaos.FaultInjector`. Every trial must land in
-exactly one of two states:
+are the oracle) and runs faulted trials against it on the shared sweep
+kernel (:mod:`repro.chaos.sweep`). Its site source, :func:`sites`, is a
+forced deterministic fault at each named protocol phase, a fault-free
+control, then seeded probabilistic chaos through the shared
+:class:`~repro.chaos.FaultInjector` — the sweep the CI ``group-smoke``
+job runs. Every trial must land in exactly one of two states:
 
 * **committed** — every member ran to exit on its destination with
   output identical to the reference, every source is torn down, the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..chaos import FaultInjector, FaultPlan
+from ..chaos import FaultInjector, FaultPlan, Trial
 from ..errors import GroupRollback
 from ..isa import get_isa
 from ..store import CheckpointStore
@@ -38,36 +39,13 @@ from .service import ServiceGroup
 from .spec import FAULT_PHASES, GroupSpec
 
 
-class GroupTrial:
-    """One group chaos trial's verdict."""
-
-    __slots__ = ("phase", "seed", "outcome", "ok", "detail", "faults")
-
-    def __init__(self, phase: str, seed: int, outcome: str, ok: bool,
-                 detail: str, faults: dict):
-        #: forced fault phase ("" for probabilistic / fault-free trials)
-        self.phase = phase
-        self.seed = seed
-        #: "committed" | "resumed"
-        self.outcome = outcome
-        #: did the commit-or-resume invariant hold?
-        self.ok = ok
-        self.detail = detail
-        self.faults = dict(faults)
-
-    def __repr__(self) -> str:
-        mark = "ok" if self.ok else "FAIL"
-        which = f"fault={self.phase}" if self.phase else f"seed={self.seed}"
-        return f"<GroupTrial {which} {self.outcome} [{mark}]>"
-
-
 class GroupChaosHarness:
     def __init__(self, spec: Optional[GroupSpec] = None):
         base = spec if spec is not None else GroupSpec()
         # The base spec must itself be fault-free; trials override it.
         self.spec = GroupSpec(workers=base.workers, conns=base.conns,
                               drain=base.drain, seed=base.seed,
-                              warmup=base.warmup, size=base.size)
+                              warmup=base.warmup)
         # The oracle: one fault-free run of the same shape.
         trial, outputs, broker_digest = self._run(fault="", plan=None,
                                                   audit=False)
@@ -83,8 +61,7 @@ class GroupChaosHarness:
         spec = GroupSpec(workers=self.spec.workers, conns=self.spec.conns,
                          drain=self.spec.drain,
                          seed=plan.seed if plan is not None else self.spec.seed,
-                         warmup=self.spec.warmup, fault=fault,
-                         size=self.spec.size)
+                         warmup=self.spec.warmup, fault=fault)
         group = ServiceGroup(spec)
         group.warmup()
         dst_a = Machine(get_isa("aarch64"), name="dst-a")
@@ -126,16 +103,17 @@ class GroupChaosHarness:
                         f"from the fault-free reference")
         faults = (coordinator.injector.counts()
                   if coordinator.injector is not None else {})
-        trial = GroupTrial(fault, plan.seed if plan is not None else 0,
-                           outcome, not problems, "; ".join(problems),
-                           faults)
+        site = (f"fault={fault}" if fault else
+                f"seed={plan.seed}" if plan is not None else "control")
+        trial = Trial(site, outcome, problems, faults)
         return trial, outputs, group.broker.digest()
 
-    def run_trial(self, fault: str = "",
-                  plan: Optional[FaultPlan] = None) -> GroupTrial:
-        """One trial: a forced fault at ``fault`` (one of
-        :data:`~repro.group.spec.FAULT_PHASES`), probabilistic chaos
-        from ``plan``, or — with neither — a fault-free control."""
+    def run_trial(self, site="") -> Trial:
+        """One trial at ``site``: a forced fault at a protocol phase
+        (one of :data:`~repro.group.spec.FAULT_PHASES`), probabilistic
+        chaos from a :class:`~repro.chaos.FaultPlan`, or — with ``""``
+        — the fault-free control."""
+        fault, plan = (site, None) if isinstance(site, str) else ("", site)
         trial, _outputs, _digest = self._run(fault, plan, audit=True)
         return trial
 
@@ -202,17 +180,10 @@ class GroupChaosHarness:
                                 f"at the cut")
         return problems
 
-    # -- sweeps ----------------------------------------------------------------
 
-    def sweep_phases(self) -> List[GroupTrial]:
-        """One forced-fault trial per protocol phase, plus a fault-free
-        control — the commit-or-resume acceptance sweep."""
-        trials = [self.run_trial(fault=phase) for phase in FAULT_PHASES]
-        trials.append(self.run_trial())
-        return trials
-
-    def run_trials(self, nseeds: int, seed0: int = 0,
-                   **probabilities) -> List[GroupTrial]:
-        """One probabilistic trial per seed in ``[seed0, seed0+nseeds)``."""
-        return [self.run_trial(plan=FaultPlan(seed, **probabilities))
-                for seed in range(seed0, seed0 + nseeds)]
+def sites(nseeds: int = 0, seed0: int = 0, **probabilities) -> list:
+    """The group site source: a forced fault at each protocol phase,
+    the fault-free control, then one seeded plan per seed in
+    ``[seed0, seed0 + nseeds)``."""
+    return [*FAULT_PHASES, ""] + [FaultPlan(seed, **probabilities)
+                                  for seed in range(seed0, seed0 + nseeds)]

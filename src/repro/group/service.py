@@ -146,8 +146,8 @@ class ServiceGroup:
                         else Machine(get_isa("x86_64"), name="src"))
         if recorder is not None:
             recorder.attach(self.machine)
-        self.programs = {NGINX: get_app(NGINX).compile(spec.size),
-                         REDIS: get_app(REDIS).compile(spec.size)}
+        self.programs = {NGINX: get_app(NGINX).compile("small"),
+                         REDIS: get_app(REDIS).compile("small")}
         for program in self.programs.values():
             install_program(self.machine, program)
         self.members: List[GroupMember] = []

@@ -28,8 +28,7 @@ class GroupSpec:
     """One group run: worker pool shape + broker + forced-fault phase."""
 
     def __init__(self, workers: int = 2, conns: int = 8, drain: int = 4,
-                 seed: int = 0, warmup: int = 4000, fault: str = "",
-                 size: str = "small"):
+                 seed: int = 0, warmup: int = 4000, fault: str = ""):
         if workers < 1:
             raise GroupError(f"group needs at least one worker, "
                              f"got workers={workers}")
@@ -51,9 +50,6 @@ class GroupSpec:
         self.seed = int(seed)
         self.warmup = int(warmup)
         self.fault = fault
-        #: app problem size (not part of the spec string; tests and the
-        #: CLI always run "small")
-        self.size = size
 
     # -- spec round-trip (journal header embedding) -----------------------
 

@@ -21,9 +21,10 @@ import sys
 from typing import List, Optional
 
 from ..apps.registry import get_app
-from ..chaos import KINDS, FaultPlan
+from ..chaos import KINDS, FaultPlan, Sweep, sweep
 from ..chaos.harness import ChaosHarness
 from ..errors import ReproError
+from ..replay.journal import EV_FAULT
 from ._cli import guarded
 
 
@@ -57,47 +58,56 @@ def build_parser() -> argparse.ArgumentParser:
                              "be caught by) the restore guard")
     parser.add_argument("--replay-check", action="store_true",
                         help="record the first faulted seed with the "
-                             "flight recorder and assert its journal "
-                             "replays bit-identically")
+                             "flight recorder and assert its whole "
+                             "journal replays bit-identically")
     parser.add_argument("--quiet", action="store_true",
                         help="only print the summary line")
     return parser
 
 
-def _replay_check(args, probabilities, faulted_seed: int) -> bool:
-    """Record one faulted migration, replay it from its own journal,
-    and compare the digest / RNG / fault event streams."""
-    from ..replay import journal as jn
-    from ..replay.engine import Replayer, record_migrate
+def _replay_check(args, plan: FaultPlan) -> bool:
+    """Record one faulted migration and hold it to the whole-journal
+    replay judge."""
+    from ..chaos import replay_judge
+    from ..replay.engine import record_migrate
 
-    spec = FaultPlan(faulted_seed, **probabilities).to_spec()
     source = get_app(args.app).source("small")
     recorded = record_migrate(source, args.app, warmup=args.warmup,
                               lazy=args.lazy, store=args.store,
-                              chaos=spec, retries=args.retry_budget)
-    replayed = Replayer(recorded.journal).run()
+                              chaos=plan.to_spec(),
+                              retries=args.retry_budget)
+    problems = replay_judge(recorded.journal)
+    for problem in problems:
+        print(f"[replay-check] {problem}", file=sys.stderr)
+    if not problems:
+        faults = len(recorded.journal.of_kind(EV_FAULT))
+        print(f"[replay-check] seed {plan.seed} ({plan.to_spec()}): "
+              f"journal replays bit-identically ({faults} fault "
+              f"event(s))", file=sys.stderr)
+    return not problems
 
-    def streams(res):
-        events = res.journal.events
-        return (res.journal.digest_stream(),
-                [(e["label"], e["a"]) for e in events
-                 if e["kind"] == jn.EV_RNG],
-                [(e["label"], e["a"], e["b"]) for e in events
-                 if e["kind"] == jn.EV_FAULT])
-    names = ("digest", "rng", "fault")
-    ok = True
-    for name, a, b in zip(names, streams(recorded), streams(replayed)):
-        if a != b:
-            print(f"[replay-check] {name} stream DIVERGED "
-                  f"({len(a)} vs {len(b)} events)", file=sys.stderr)
-            ok = False
-    if ok:
-        faults = sum(1 for e in recorded.journal.events
-                     if e["kind"] == jn.EV_FAULT)
-        print(f"[replay-check] seed {faulted_seed} ({spec}): journal "
-              f"replays bit-identically ({faults} fault event(s))",
-              file=sys.stderr)
-    return ok
+
+def summary(result: Sweep) -> str:
+    """Outcome tallies, faults fired (the :data:`~repro.chaos.KINDS`
+    the plans drew) and the injector's notes (rollback, fallback,
+    quarantine, ...) each under its own name."""
+    fired, notes = 0, {}
+    for trial in result.trials:
+        for name, count in trial.faults.items():
+            if name in KINDS:
+                fired += count
+            else:
+                notes[name] = notes.get(name, 0) + count
+    tally = result.tally()
+    noted = ", ".join(f"{n} {name}" for name, n in sorted(notes.items()))
+    repaired = sum(t.info["repaired_pages"] for t in result.trials)
+    return (f"[chaos] {result.label}: {len(result.trials)} trials, "
+            f"{tally.get('completed', 0)} completed, "
+            f"{tally.get('rolled-back', 0)} rolled back, "
+            f"{fired} faults fired"
+            f"{f' (noted: {noted})' if noted else ''}, "
+            f"{repaired} page(s) repaired, "
+            f"{len(result.failures())} invariant violation(s)")
 
 
 def _run(args: argparse.Namespace, probabilities: dict) -> int:
@@ -108,39 +118,26 @@ def _run(args: argparse.Namespace, probabilities: dict) -> int:
                                verify_gate=args.verify_gate)
     except KeyError as exc:  # unknown app name from the registry
         raise ReproError(exc.args[0]) from None
-    trials = harness.run_trials(args.trials, seed0=args.seed0,
-                                **probabilities)
-
-    failed = [t for t in trials if not t.ok]
-    completed = sum(1 for t in trials if t.outcome == "completed")
-    rolled = sum(1 for t in trials if t.outcome == "rolled-back")
-    fallbacks = sum(1 for t in trials if t.fallback)
-    repaired = sum(t.repaired_pages for t in trials)
-    quarantined = sum(1 for t in trials if t.quarantined)
-    fired = sum(sum(t.faults.values()) for t in trials)
+    plans = [FaultPlan(seed, **probabilities)
+             for seed in range(args.seed0, args.seed0 + args.trials)]
+    label = (f"{args.app}{' lazy' if args.lazy else ''}"
+             f"{' store' if args.store else ''}"
+             f"{' verify-gate' if args.verify_gate else ''}")
+    result = sweep.run(label, plans, harness.run_trial)
     if not args.quiet:
-        for t in trials:
-            mark = "ok " if t.ok else "FAIL"
-            extra = f" ({t.detail})" if t.detail else ""
-            print(f"  seed {t.seed:>4}  {t.outcome:<11} [{mark}] "
-                  f"faults={t.faults or '{}'}{extra}")
-    print(f"[chaos] {args.app}{' lazy' if args.lazy else ''}"
-          f"{' store' if args.store else ''}"
-          f"{' verify-gate' if args.verify_gate else ''}: "
-          f"{len(trials)} trials, "
-          f"{completed} completed, {rolled} rolled back, "
-          f"{fallbacks} pre-copy fallback(s), {repaired} page(s) "
-          f"repaired, {quarantined} quarantine(s), {fired} faults fired, "
-          f"{len(failed)} invariant violation(s)")
-    if failed:
+        for line in result.lines():
+            print(line)
+    print(summary(result))
+    if not result.ok:
         return 1
 
     if args.replay_check:
-        faulted = next((t.seed for t in trials if t.faults), None)
+        faulted = next((plan for plan, t in zip(plans, result.trials)
+                        if t.faults), None)
         if faulted is None:
             print("[replay-check] skipped: no trial fired a fault",
                   file=sys.stderr)
-        elif not _replay_check(args, probabilities, faulted):
+        elif not _replay_check(args, faulted):
             return 1
     return 0
 

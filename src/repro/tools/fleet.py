@@ -112,8 +112,9 @@ def _recorded_storm(spec, chaos: str):
 
 
 def _run(args: argparse.Namespace) -> int:
+    from ..chaos import replay_judge
     from ..fleet import FleetSpec
-    from ..replay.engine import Replayer, record_fleet
+    from ..replay.engine import record_fleet
 
     spec, chaos = _build_spec(args)
     result, journal = _recorded_storm(spec, chaos)
@@ -126,13 +127,11 @@ def _run(args: argparse.Namespace) -> int:
                   f"({len(journal.events)} events)")
 
     if args.replay_check:
-        replayed = Replayer(journal).run()
-        identical = replayed.journal.to_bytes() == journal.to_bytes()
+        problems = replay_judge(journal)
         print(f"[replay-check] journal "
-              f"{'replays bit-identically' if identical else 'DIVERGED'}",
+              f"{problems[0] if problems else 'replays bit-identically'}",
               file=sys.stderr)
-        if not identical:
-            failures += 1
+        failures += bool(problems)
 
     if args.check:
         single = FleetSpec.from_spec(spec.to_spec())

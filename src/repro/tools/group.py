@@ -54,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "to PATH")
     parser.add_argument("--replay-check", action="store_true",
                         help="replay the recorded journal and assert "
-                             "its digest / RNG / fault / group event "
-                             "streams are bit-identical")
+                             "the whole journal is bit-identical")
     parser.add_argument("--chaos", action="store_true",
                         help="chaos-harness mode: forced-fault sweep "
                              "over every protocol phase plus seeded "
@@ -79,35 +78,18 @@ def _spec(args: argparse.Namespace, fault: str = "") -> GroupSpec:
                      warmup=args.warmup, fault=fault)
 
 
-def _streams(result):
+def _replay_check(journal) -> bool:
+    """Hold a recorded group run to the whole-journal replay judge."""
+    from ..chaos import replay_judge
     from ..replay import journal as jn
-    events = result.journal.events
-    return (result.journal.digest_stream(),
-            [(e["label"], e["a"]) for e in events
-             if e["kind"] == jn.EV_RNG],
-            [(e["label"], e["a"], e["b"]) for e in events
-             if e["kind"] == jn.EV_FAULT],
-            [(e["label"], e["a"], e["b"]) for e in events
-             if e["kind"] == jn.EV_GROUP])
-
-
-def _replay_check(recorded) -> bool:
-    """Replay a recorded group run from its own journal and compare
-    the digest / RNG / fault / group-protocol event streams."""
-    from ..replay.engine import Replayer
-    replayed = Replayer(recorded.journal).run()
-    ok = True
-    for name, a, b in zip(("digest", "rng", "fault", "group"),
-                          _streams(recorded), _streams(replayed)):
-        if a != b:
-            print(f"[replay-check] {name} stream DIVERGED "
-                  f"({len(a)} vs {len(b)} events)", file=sys.stderr)
-            ok = False
-    if ok:
-        phases = ", ".join(label for label, _, _ in _streams(recorded)[3])
+    problems = replay_judge(journal)
+    for problem in problems:
+        print(f"[replay-check] {problem}", file=sys.stderr)
+    if not problems:
+        phases = ", ".join(e["label"] for e in journal.of_kind(jn.EV_GROUP))
         print(f"[replay-check] journal replays bit-identically "
               f"({phases})", file=sys.stderr)
-    return ok
+    return not problems
 
 
 def _run_one(args: argparse.Namespace, chaos_spec: str) -> int:
@@ -132,7 +114,7 @@ def _run_one(args: argparse.Namespace, chaos_spec: str) -> int:
     if args.record:
         recorded.journal.save(args.record)
         print(f"[group] journal saved to {args.record}")
-    if args.replay_check and not _replay_check(recorded):
+    if args.replay_check and not _replay_check(recorded.journal):
         return 1
     return recorded.exit_code or 0
 
@@ -140,37 +122,31 @@ def _run_one(args: argparse.Namespace, chaos_spec: str) -> int:
 def _run_chaos(args: argparse.Namespace, probabilities: dict) -> int:
     """The chaos sweep: one forced fault per protocol phase, a
     fault-free control, and optional seeded probabilistic trials."""
-    from ..group.chaos import GroupChaosHarness
+    from ..chaos import sweep
+    from ..group.chaos import GroupChaosHarness, sites
+    from ..replay.engine import record_group
     if args.trials > 0 and not any(probabilities.values()):
         raise ValueError("probabilistic trials need at least one "
                          "fault probability (e.g. --crash 0.25)")
     harness = GroupChaosHarness(_spec(args))
-    trials = harness.sweep_phases()
-    if args.trials > 0:
-        trials += harness.run_trials(args.trials, seed0=args.seed0,
-                                     **probabilities)
-    failed = [t for t in trials if not t.ok]
-    committed = sum(1 for t in trials if t.outcome == "committed")
-    resumed = sum(1 for t in trials if t.outcome == "resumed")
+    result = sweep.run("group-chaos",
+                       sites(args.trials, args.seed0, **probabilities),
+                       harness.run_trial)
     if not args.quiet:
-        for t in trials:
-            mark = "ok " if t.ok else "FAIL"
-            which = (f"fault={t.phase}" if t.phase
-                     else f"seed={t.seed}" if t.faults else "control")
-            extra = f" ({t.detail})" if t.detail else ""
-            print(f"  {which:<14} {t.outcome:<9} [{mark}] "
-                  f"faults={t.faults or '{}'}{extra}")
-    print(f"[group-chaos] {len(trials)} trials "
+        for line in result.lines():
+            print(line)
+    tally = result.tally()
+    print(f"[group-chaos] {len(result.trials)} trials "
           f"({len(FAULT_PHASES)} forced phases + control"
           f"{f' + {args.trials} seeded' if args.trials else ''}): "
-          f"{committed} committed, {resumed} resumed, "
-          f"{len(failed)} invariant violation(s)")
-    if failed:
+          f"{tally.get('committed', 0)} committed, "
+          f"{tally.get('resumed', 0)} resumed, "
+          f"{len(result.failures())} invariant violation(s)")
+    if not result.ok:
         return 1
     if args.replay_check:
-        from ..replay.engine import record_group
         spec = _spec(args, fault=FAULT_PHASES[0])
-        if not _replay_check(record_group(spec.to_spec())):
+        if not _replay_check(record_group(spec.to_spec()).journal):
             return 1
     return 0
 

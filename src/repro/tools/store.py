@@ -275,7 +275,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    from ..chaos import sweep as crash_sweep
+    from ..chaos import CrashPoints, sweep
     from ..store.transfer import plan_transfer, ship
 
     images = load_image_set(args.image_dir)
@@ -323,16 +323,16 @@ def _run_sweep(args: argparse.Namespace) -> int:
     total_sites = 0
     for name in ops:
         setup, op, atomic = builders[name]()
-        result = crash_sweep(setup, op, label=name, seed=args.seed,
-                             atomic=atomic)
-        total_sites += len(result.sites)
+        points = CrashPoints(setup, op, seed=args.seed, atomic=atomic)
+        result = sweep.run(name, range(len(points.sites)),
+                           points.run_trial)
+        total_sites += len(result.trials)
         bad = result.failures()
         failures += len(bad)
-        print(f"{name:10} {len(result.sites):3} site(s) "
+        print(f"{name:10} {len(result.trials):3} site(s) "
               f"{'ok' if result.ok else f'{len(bad)} FAILED'}")
-        for trial in bad:
-            for problem in trial.problems:
-                print(f"  #{trial.index} {trial.site}: {problem}")
+        for line in result.lines(every=False):
+            print(line)
     verdict = ("all recovered" if not failures
                else f"{failures} FAILURE(S)")
     print(f"sweep: {total_sites} crash site(s) across {len(ops)} "

@@ -478,7 +478,7 @@ class _Op:
 
 
 class TestDemotion:
-    def test_demoted_block_stays_tier0_and_chains_skip_it(
+    def test_demoted_block_stays_tier0_and_resume_skips_it(
             self, counter_program, counter_reference_output, monkeypatch):
         """When codegen refuses a block the engine must pin it to tier 0
         (``demoted``), never retry the compile, and never register a

@@ -113,11 +113,10 @@ class TestSchedulerDeterminism:
         assert blocks_order == interp_order
         assert blocks_out == interp_out
 
-    def test_round_robin_order_matches_under_chains(self, monkeypatch):
+    def test_round_robin_order_matches_under_resume(self, monkeypatch):
         """At an odd quantum nearly every slice parks mid-trace and the
-        next one resumes inside the compiled trace (the job tier-3
-        chains once did); the slice stream handed to the scheduler
-        must not change."""
+        next one resumes inside the compiled trace; the slice stream
+        handed to the scheduler must not change."""
         from repro.vm import blocks
         monkeypatch.setattr(blocks, "HOT_THRESHOLD", 0)
         resumed_order, resumed_out = self._trace(engine=True, quantum=13)

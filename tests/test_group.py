@@ -5,12 +5,14 @@ journals, and two-phase groups at fleet scale."""
 
 import pytest
 
-from repro.chaos import FaultInjector, FaultPlan
+from repro.chaos import FaultInjector, FaultPlan, sweep
+from repro.chaos.sweep import first_difference
 from repro.errors import GroupError, GroupRollback, StoreError
 from repro.fleet import FleetSpec, FleetStorm
 from repro.group import (FAULT_PHASES, ConnectionBroker,
                          GroupChaosHarness, GroupCoordinator, GroupSpec,
                          ServiceGroup, restore_group, split_placements)
+from repro.group.chaos import sites
 from repro.isa import get_isa
 from repro.replay import journal as jn
 from repro.replay.engine import Replayer, record_group
@@ -187,15 +189,19 @@ class TestGroupChaos:
         return GroupChaosHarness(GroupSpec(workers=1, conns=6, drain=3))
 
     def test_forced_sweep_holds_commit_or_resume(self, harness):
-        trials = harness.sweep_phases()
-        assert [t.phase for t in trials] == list(FAULT_PHASES) + [""]
+        trials = sweep.run("group", sites(), harness.run_trial).trials
+        assert [t.site for t in trials] \
+            == [f"fault={phase}" for phase in FAULT_PHASES] + ["control"]
         assert all(t.ok for t in trials), [t.detail for t in trials]
         assert all(t.outcome == "resumed"
-                   for t in trials if t.phase)
+                   for t in trials if t.site.startswith("fault="))
         assert trials[-1].outcome == "committed"
 
     def test_seeded_trials_hold_commit_or_resume(self, harness):
-        trials = harness.run_trials(3, seed0=11, crash=0.4, corrupt=0.2)
+        plans = [FaultPlan(seed, crash=0.4, corrupt=0.2)
+                 for seed in (11, 12, 13)]
+        trials = sweep.run("group", plans, harness.run_trial).trials
+        assert [t.site for t in trials] == ["seed=11", "seed=12", "seed=13"]
         assert all(t.ok for t in trials), [t.detail for t in trials]
         assert {t.outcome for t in trials} <= {"committed", "resumed"}
 
@@ -246,23 +252,12 @@ class TestRestoreGroup:
                            for p in machine.processes.values())
 
 
-def _group_streams(result):
-    events = result.journal.events
-    return (result.journal.digest_stream(),
-            [(e["label"], e["a"]) for e in events
-             if e["kind"] == jn.EV_RNG],
-            [(e["label"], e["a"], e["b"]) for e in events
-             if e["kind"] == jn.EV_FAULT],
-            [(e["label"], e["a"], e["b"]) for e in events
-             if e["kind"] == jn.EV_GROUP])
-
-
 class TestGroupReplay:
     SPEC = "workers=1,conns=6,drain=3,seed=2,warmup=4000"
 
     def _assert_bit_identical(self, recorded):
         replayed = Replayer(recorded.journal).run()
-        assert _group_streams(replayed) == _group_streams(recorded)
+        assert first_difference(recorded.journal, replayed.journal) is None
         assert replayed.exit_code == recorded.exit_code
 
     def test_committed_group_replays_bit_identically(self):

@@ -5,7 +5,7 @@ durable fleet resume, and bit-identical EV_RECOVER journals."""
 
 import pytest
 
-from repro.chaos import CrashPointInjector, FaultPlan, sweep
+from repro.chaos import CrashPointInjector, CrashPoints, FaultPlan, sweep
 from repro.core.migration import exe_path_for, install_program
 from repro.core.runtime import DapperRuntime
 from repro.criu.dump import dump_process
@@ -285,16 +285,16 @@ class TestCrashSweepMatrix:
     def test_every_site_recovers(self, image_pair, name):
         first, second = image_pair
         setup, op, atomic = self._ops(first, second)[name]()
-        result = sweep(setup, op, label=name, seed=11, atomic=atomic)
-        assert result.sites, f"{name} exposed no durability sites"
-        assert result.ok, "\n".join(
-            f"#{t.index} {t.site}: {'; '.join(t.problems)}"
-            for t in result.failures())
+        points = CrashPoints(setup, op, seed=11, atomic=atomic)
+        result = sweep.run(name, range(len(points.sites)),
+                           points.run_trial)
+        assert points.sites, f"{name} exposed no durability sites"
+        assert result.ok, "\n".join(result.lines(every=False))
 
     def test_put_sites_cover_every_durability_kind(self, images):
-        result = sweep(lambda s: None, lambda s, ctx: s.put(images),
-                       label="put", seed=0, atomic=True)
-        kinds = {site.split(":")[0] for site in result.sites}
+        points = CrashPoints(lambda s: None, lambda s, ctx: s.put(images),
+                             seed=0, atomic=True)
+        kinds = {site.split(":")[0] for site in points.sites}
         assert {"chunk.write", "chunk.fsync", "chunk.rename",
                 "wal.append", "wal.fsync"} <= kinds
 
@@ -389,9 +389,11 @@ class TestRecoverJournal:
             recorders.append(recorder)
             return recorder
 
-        result = sweep(lambda s: None, lambda s, ctx: s.put(images),
-                       label="put", seed=7, recorder_factory=factory,
-                       atomic=True)
+        points = CrashPoints(lambda s: None, lambda s, ctx: s.put(images),
+                             seed=7, recorder_factory=factory,
+                             atomic=True)
+        result = sweep.run("put", range(len(points.sites)),
+                           points.run_trial)
         assert result.ok
         return [list(r.journal.events) for r in recorders]
 

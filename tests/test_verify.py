@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import FaultInjector, FaultPlan
+from repro.chaos import FaultInjector, FaultPlan, sweep
 from repro.chaos.harness import ChaosHarness
 from repro.compiler import compile_source
 from repro.core.migration import (MigrationPipeline, exe_path_for,
@@ -329,11 +329,14 @@ class TestChaosVerifyGate:
         harness = ChaosHarness("dhrystone", warmup=2000,
                                verify_gate=True)
         caught = 0
-        for trial in harness.run_trials(4, corrupt=0.6):
+        plans = [FaultPlan(seed, corrupt=0.6) for seed in range(4)]
+        result = sweep.run("verify-gate", plans, harness.run_trial)
+        for trial in result.trials:
             assert trial.ok, trial.detail
             if trial.faults.get("corrupt"):
                 caught += 1
-                assert trial.quarantined or trial.repaired_pages
+                assert (trial.faults.get("quarantine")
+                        or trial.info["repaired_pages"])
         assert caught > 0
 
     def test_fault_free_trials_unaffected_by_gate(self):
@@ -342,7 +345,7 @@ class TestChaosVerifyGate:
         trial = harness.run_trial(FaultPlan(0))
         assert trial.ok, trial.detail
         assert trial.outcome == "completed"
-        assert not trial.quarantined
+        assert not trial.faults.get("quarantine")
 
 
 # -- journal + replay ---------------------------------------------------------
